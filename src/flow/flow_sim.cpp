@@ -7,6 +7,7 @@
 #include <ostream>
 #include <utility>
 
+#include "flow/waterfill.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "util/artifact.hpp"
@@ -176,14 +177,30 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     if (profile.saturation <= 0.0 || profile.line_rate_gbps <= 0.0)
         fatal("simulateFlows: profile must have positive saturation "
               "and line rate");
-    for (const auto &flow : flows) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const FlowArrival &flow = flows[i];
         if (flow.src_host < 0 || flow.src_host >= hosts ||
             flow.dst_host < 0 || flow.dst_host >= hosts)
             fatal("simulateFlows: flow ", flow.id,
                   " references a host outside [0, ", hosts, ")");
+        // A NaN or infinite size never drains, and the run would
+        // end in a misleading stall panic.
+        if (!std::isfinite(flow.bytes))
+            fatal("simulateFlows: flow ", flow.id,
+                  " has non-finite size ", flow.bytes);
         if (flow.bytes < 0.0)
             fatal("simulateFlows: flow ", flow.id, " has negative size ",
                   flow.bytes);
+        // Out-of-order arrivals would be admitted late, silently
+        // charging the wait to their FCT.
+        if (!std::isfinite(flow.arrival_s))
+            fatal("simulateFlows: flow ", flow.id,
+                  " has non-finite arrival time ", flow.arrival_s);
+        if (i > 0 && flow.arrival_s < flows[i - 1].arrival_s)
+            fatal("simulateFlows: flow ", flow.id, " arrives at ",
+                  flow.arrival_s, " s, before flow ", flows[i - 1].id,
+                  " at ", flows[i - 1].arrival_s,
+                  " s; flows must be sorted by arrival time");
     }
     if (topo.routesDirty())
         topo.rebuildRoutes();
@@ -254,11 +271,7 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
 
     // --- engine state --------------------------------------------
     std::vector<ActiveFlow> active;
-    std::vector<std::vector<int>> users(n_res);
-    std::vector<int> touched;
-    std::vector<double> remcap(n_res, 0.0);
-    std::vector<int> cnt(n_res, 0);
-    std::vector<char> frozen;
+    Waterfill waterfill(std::move(cap));
     std::vector<double> sw_rate(
         static_cast<std::size_t>(topo.switchCount()), 0.0);
 
@@ -284,61 +297,15 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
         f.res.push_back(static_cast<int>(2 * f.dst + 1));
     };
 
-    // Progressive waterfill: freeze the bottleneck resource's flows
-    // at its fair share, deduct, repeat — textbook max-min. Only
-    // resources touched by active flows are visited.
+    // Max-min fair rates for the active set (flow/waterfill.hpp).
     const auto recompute = [&]() {
         obs::ScopedPhase phase(cfg.profiler, "waterfill");
-        const int n = static_cast<int>(active.size());
-        for (int f = 0; f < n; ++f)
-            for (int r : active[static_cast<std::size_t>(f)].res) {
-                auto &list = users[static_cast<std::size_t>(r)];
-                if (list.empty())
-                    touched.push_back(r);
-                list.push_back(f);
-            }
-        frozen.assign(static_cast<std::size_t>(n), 0);
-        for (int r : touched) {
-            remcap[static_cast<std::size_t>(r)] =
-                cap[static_cast<std::size_t>(r)];
-            cnt[static_cast<std::size_t>(r)] = static_cast<int>(
-                users[static_cast<std::size_t>(r)].size());
-        }
-        int unfrozen = n;
-        while (unfrozen > 0) {
-            double best = kInf;
-            int bottleneck = -1;
-            for (int r : touched)
-                if (cnt[static_cast<std::size_t>(r)] > 0) {
-                    const double fair =
-                        remcap[static_cast<std::size_t>(r)] /
-                        cnt[static_cast<std::size_t>(r)];
-                    if (fair < best) {
-                        best = fair;
-                        bottleneck = r;
-                    }
-                }
-            if (bottleneck < 0)
-                panic("flow waterfill: ", unfrozen,
-                      " unfrozen flows but no loaded resource");
-            best = std::max(best, 0.0);
-            for (int f : users[static_cast<std::size_t>(bottleneck)]) {
-                if (frozen[static_cast<std::size_t>(f)])
-                    continue;
-                frozen[static_cast<std::size_t>(f)] = 1;
-                active[static_cast<std::size_t>(f)].rate = best;
-                --unfrozen;
-                for (int r : active[static_cast<std::size_t>(f)].res)
-                    if (r != bottleneck) {
-                        remcap[static_cast<std::size_t>(r)] -= best;
-                        --cnt[static_cast<std::size_t>(r)];
-                    }
-            }
-            cnt[static_cast<std::size_t>(bottleneck)] = 0;
-        }
-        for (int r : touched)
-            users[static_cast<std::size_t>(r)].clear();
-        touched.clear();
+        waterfill.clear();
+        for (const auto &f : active)
+            waterfill.addFlow(f.res);
+        const std::vector<double> &rates = waterfill.solve();
+        for (std::size_t f = 0; f < active.size(); ++f)
+            active[f].rate = rates[f];
         // Per-switch throughput feeding the latency lookups of the
         // *next* arrivals.
         std::fill(sw_rate.begin(), sw_rate.end(), 0.0);

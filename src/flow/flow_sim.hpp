@@ -14,6 +14,16 @@
  * offered load when the flow starts. The DCN-scale FCT/slowdown
  * tails therefore inherit the single-switch fidelity of Figs. 21-24.
  *
+ * Cost model. Every event batch that changes the active set re-solves
+ * the rates of all active flows (flow::Waterfill). A solve over F
+ * flows of path length L touching T resources costs
+ * O(F·L·log T + T): a tournament tree over the resources' fair shares
+ * yields each fill round's bottleneck without rescanning every
+ * resource. The next-completion search stays an O(F) scan per batch.
+ * Rates are bit-identical to the textbook linear-scan waterfill
+ * (earliest-touched resource wins exact ties), so the tree changed
+ * only host time, never a result.
+ *
  * The engine is single-threaded and strictly deterministic: same
  * topology, profile, flow list and fault schedule — same statistics,
  * bit for bit. Parallel campaigns run independent cells, never
@@ -190,8 +200,9 @@ void verifyFlowConservation(std::int64_t started, std::int64_t completed,
  * touching NICs, trunks or switch latency (0 hops); a zero-byte flow
  * completes at arrival paying only the calibrated path latency.
  * Neither ever enters the fair-share waterfill, so they cannot stall
- * the engine or steal bandwidth. Negative byte counts are a fatal
- * input error.
+ * the engine or steal bandwidth. Negative or non-finite byte counts,
+ * non-finite arrival times, and arrivals out of order are fatal input
+ * errors that name the offending flow id.
  *
  * @p topo is mutated (fault state, routing tables); build a fresh
  * topology per run.

@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -23,11 +26,13 @@
 #include "flow/dcn_topology.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/switch_profile.hpp"
+#include "flow/waterfill.hpp"
 #include "flow/workload.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "power/ssc.hpp"
+#include "util/rng.hpp"
 
 namespace wss::flow {
 namespace {
@@ -539,6 +544,45 @@ TEST(FlowSim, NegativeByteSizeDiesLoudly)
     EXPECT_DEATH(simulateFlows(topo, profile, flows), "negative size");
 }
 
+TEST(FlowSim, NonFiniteByteSizeDiesLoudly)
+{
+    DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<FlowArrival> flows = {{1, 0.0, 0, 1, 1e4},
+                                      {7, 0.0, 2, 3, nan}};
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 7 has non-finite size");
+    flows[1].bytes = inf;
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 7 has non-finite size");
+}
+
+TEST(FlowSim, OutOfOrderArrivalDiesLoudly)
+{
+    DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    std::vector<FlowArrival> flows = {{1, 0.0, 0, 1, 1e4},
+                                      {2, 2e-6, 2, 3, 1e4},
+                                      {3, 1e-6, 4, 5, 1e4}};
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 3 arrives at .* before flow 2");
+}
+
+TEST(FlowSim, NonFiniteArrivalTimeDiesLoudly)
+{
+    DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    std::vector<FlowArrival> flows = {
+        {4, std::numeric_limits<double>::quiet_NaN(), 0, 1, 1e4}};
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 4 has non-finite arrival time");
+    flows[0].arrival_s = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 4 has non-finite arrival time");
+}
+
 TEST(FlowSim, FctMaxTracksTheSlowestFlow)
 {
     DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
@@ -553,6 +597,198 @@ TEST(FlowSim, FctMaxTracksTheSlowestFlow)
     // The slowest flow is the largest one; its ideal time lower-bounds
     // the max FCT.
     EXPECT_GE(r.fct_max_s, 8e5 / (200.0 * 1e9 / 8.0));
+}
+
+// --- Waterfill -------------------------------------------------------
+
+/// The textbook progressive waterfill: rescan every touched resource
+/// each round and keep the first strictly smaller fair share. This is
+/// the reference Waterfill must match bit for bit.
+struct FillRounds
+{
+    int rounds = 0;
+    /// Rounds whose minimal share several resources attained.
+    int tied = 0;
+};
+
+std::vector<double>
+linearScanWaterfill(const std::vector<double> &cap,
+                    const std::vector<std::vector<int>> &flows,
+                    FillRounds *stats = nullptr)
+{
+    const int n = static_cast<int>(flows.size());
+    std::vector<std::vector<int>> users(cap.size());
+    std::vector<int> touched;
+    for (int f = 0; f < n; ++f)
+        for (int r : flows[f]) {
+            if (users[r].empty())
+                touched.push_back(r);
+            users[r].push_back(f);
+        }
+    std::vector<double> remcap(cap.size(), 0.0);
+    std::vector<int> cnt(cap.size(), 0);
+    for (int r : touched) {
+        remcap[r] = cap[r];
+        cnt[r] = static_cast<int>(users[r].size());
+    }
+    std::vector<double> rate(flows.size(), 0.0);
+    std::vector<char> frozen(flows.size(), 0);
+    int unfrozen = n;
+    while (unfrozen > 0) {
+        double best = std::numeric_limits<double>::infinity();
+        int bottleneck = -1;
+        for (int r : touched)
+            if (cnt[r] > 0) {
+                const double fair = remcap[r] / cnt[r];
+                if (fair < best) {
+                    best = fair;
+                    bottleneck = r;
+                }
+            }
+        if (bottleneck < 0) {
+            ADD_FAILURE() << "reference waterfill stalled";
+            return rate;
+        }
+        if (stats) {
+            ++stats->rounds;
+            if (std::count_if(touched.begin(), touched.end(), [&](int r) {
+                    return cnt[r] > 0 && remcap[r] / cnt[r] == best;
+                }) > 1)
+                ++stats->tied;
+        }
+        best = std::max(best, 0.0);
+        for (int f : users[bottleneck]) {
+            if (frozen[f])
+                continue;
+            frozen[f] = 1;
+            rate[f] = best;
+            --unfrozen;
+            for (int r : flows[f])
+                if (r != bottleneck) {
+                    remcap[r] -= best;
+                    --cnt[r];
+                }
+        }
+        cnt[bottleneck] = 0;
+    }
+    return rate;
+}
+
+std::vector<double>
+solveWaterfill(Waterfill &wf, const std::vector<std::vector<int>> &flows)
+{
+    wf.clear();
+    for (const auto &res : flows)
+        wf.addFlow(res);
+    return wf.solve();
+}
+
+void
+expectBitIdentical(const std::vector<double> &got,
+                   const std::vector<double> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t f = 0; f < got.size(); ++f)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[f]),
+                  std::bit_cast<std::uint64_t>(want[f]))
+            << what << ": flow " << f << " rate " << got[f] << " vs "
+            << want[f];
+}
+
+TEST(FlowWaterfill, TextbookMaxMinInstance)
+{
+    // r0 (cap 10) carries f0, f1, f3; r1 (cap 4) carries f1, f2;
+    // r2 (cap 6) carries f3, f4. Round 1 freezes r1's flows at 2,
+    // round 2 r2's at 3, and f0 takes what r0 has left: 10 - 2 - 3.
+    const std::vector<double> cap = {10.0, 4.0, 6.0};
+    Waterfill wf(cap);
+    const std::vector<std::vector<int>> flows = {
+        {0}, {0, 1}, {1}, {0, 2}, {2}};
+    const std::vector<double> rates = solveWaterfill(wf, flows);
+    EXPECT_EQ(rates, (std::vector<double>{5.0, 2.0, 2.0, 3.0, 3.0}));
+    expectBitIdentical(rates, linearScanWaterfill(cap, flows), "textbook");
+}
+
+TEST(FlowWaterfill, EmptySetAndSingleFlow)
+{
+    Waterfill wf({5.0, 3.0, 7.0});
+    EXPECT_TRUE(solveWaterfill(wf, {}).empty());
+    EXPECT_EQ(wf.flowCount(), 0u);
+    // A lone flow runs at its narrowest resource.
+    EXPECT_EQ(solveWaterfill(wf, {{0, 1, 2}}), std::vector<double>{3.0});
+    EXPECT_EQ(solveWaterfill(wf, {{2}}), std::vector<double>{7.0});
+    EXPECT_TRUE(solveWaterfill(wf, {}).empty());
+}
+
+TEST(FlowWaterfill, MatchesLinearScanBitwiseOnTieHeavyInstances)
+{
+    // Fat-tree-shaped instances: a tx and an rx NIC per host, then
+    // two directions per trunk; each flow runs src tx -> up to three
+    // trunk directions -> dst rx. Capacities are all equal, drawn
+    // from a three-value palette, or continuous, so exact ties in
+    // remcap/cnt are the norm. One solver is reused across several
+    // instances per capacity set, exercising its buffer recycling.
+    FillRounds stats;
+    std::size_t flows_checked = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        const int hosts = static_cast<int>(rng.nextInRange(4, 48));
+        const int trunks = static_cast<int>(rng.nextInRange(2, 16));
+        const int host_res = 2 * hosts;
+        std::vector<double> cap(
+            static_cast<std::size_t>(host_res + 2 * trunks));
+        for (std::size_t r = 0; r < cap.size(); ++r) {
+            switch (seed % 3) {
+            case 0:
+                cap[r] = 25e9;
+                break;
+            case 1:
+                cap[r] = 1e9 * static_cast<double>(
+                                   1u << rng.nextBelow(3));
+                break;
+            default:
+                cap[r] = (0.5 + rng.nextDouble()) * 1e9;
+                break;
+            }
+        }
+        Waterfill wf(cap);
+        for (int instance = 0; instance < 4; ++instance) {
+            std::vector<std::vector<int>> flows(
+                static_cast<std::size_t>(rng.nextInRange(0, 2 * hosts)));
+            for (auto &res : flows) {
+                const auto src = rng.nextBelow(
+                    static_cast<std::uint64_t>(hosts));
+                const auto dst = rng.nextBelow(
+                    static_cast<std::uint64_t>(hosts));
+                res.push_back(static_cast<int>(2 * src));
+                const auto hops = rng.nextBelow(4);
+                for (std::uint64_t h = 0; h < hops; ++h)
+                    res.push_back(host_res +
+                                  static_cast<int>(rng.nextBelow(
+                                      static_cast<std::uint64_t>(
+                                          2 * trunks))));
+                res.push_back(static_cast<int>(2 * dst + 1));
+            }
+            expectBitIdentical(
+                solveWaterfill(wf, flows),
+                linearScanWaterfill(cap, flows, &stats),
+                "seed " + std::to_string(seed) + " instance " +
+                    std::to_string(instance));
+            flows_checked += flows.size();
+        }
+    }
+    // The instances must actually stress tie-breaking: in more than
+    // one round in ten, several resources share the minimal share.
+    EXPECT_GT(stats.tied * 10, stats.rounds)
+        << stats.tied << " of " << stats.rounds << " rounds tied";
+    EXPECT_GT(flows_checked, 15000u);
+}
+
+TEST(FlowWaterfill, FlowWithoutResourcesDiesLoudly)
+{
+    Waterfill wf({1.0});
+    EXPECT_DEATH(wf.addFlow({}), "crosses no resource");
+    EXPECT_DEATH(wf.addFlow({1}), "resource 1 outside");
 }
 
 // --- Campaign --------------------------------------------------------

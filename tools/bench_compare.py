@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON reports (bench_simcore or bench_coll).
+"""Compare two bench JSON reports (bench_simcore, bench_coll or bench_dcn).
 
 Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json
            [--max-regress PCT] [--require-identical]
 
 Both files must come from the same benchmark; the kind is read from
-the "bench" field. Points are matched by (name, rate). For each match
-the tool prints the metric ratio, and fails (exit 1) when:
+the "bench" field. Points are matched by the kind's key fields. For
+each match the tool prints the metric ratio, and fails (exit 1) when:
 
   * the candidate is more than --max-regress percent below the
     baseline on any point (default 10; timing noise on shared boxes
@@ -18,12 +18,19 @@ the tool prints the metric ratio, and fails (exit 1) when:
     its speed, and the perf comparison is void.
 
 Kinds:
-  simcore  metric mflits_per_second (wall-clock throughput);
-           identity flits_delivered / end_cycle / stable
-  coll     metric busbw_gbps (simulated bus bandwidth — fully
-           deterministic, so use --require-identical and treat ANY
-           drift as behavioural); identity steps / messages /
-           flow_us / model_us / failed
+  simcore  points keyed by (name, rate); metric mflits_per_second
+           (wall-clock throughput); identity flits_delivered /
+           end_cycle / stable
+  coll     points keyed by (name, rate); metric busbw_gbps
+           (simulated bus bandwidth — fully deterministic, so use
+           --require-identical and treat ANY drift as behavioural);
+           identity steps / messages / flow_us / model_us / failed
+  dcn      campaign cells keyed by (design, workload, load); metric
+           flows_per_second (flows simulated per host second of the
+           cell); identity every result column of the flow engine:
+           flows (started) / completed / failed / rerouted /
+           fault_events / avg_hops / throughput_gbps and the FCT and
+           slowdown avg/p50/p99/p999 columns
 
 When a provenance manifest sits next to a report (the benches write
 `REPORT.json.manifest.json` siblings), its resolved configuration is
@@ -41,20 +48,54 @@ import json
 import os
 import sys
 
-# Per-benchmark comparison contract: which field is the higher-is-
-# better metric, and which fields must be bit-identical for the run
-# to count as behaviourally unchanged.
+def flows_per_second(cell):
+    """Host-time throughput of one dcn campaign cell."""
+    return cell["flows"] / cell["seconds"] if cell["seconds"] > 0 else 0.0
+
+
+# Per-benchmark comparison contract: where the points live in the
+# report, which fields match a point across reports, the higher-is-
+# better metric (a field name, or a function of the point), and which
+# fields must be bit-identical for the run to count as behaviourally
+# unchanged.
 BENCH_KINDS = {
     "simcore": {
+        "points": ("points",),
+        "key": ("name", "rate"),
         "metric": "mflits_per_second",
         "identity": ("flits_delivered", "end_cycle", "stable"),
     },
     "coll": {
+        "points": ("points",),
+        "key": ("name", "rate"),
         "metric": "busbw_gbps",
         "identity": ("steps", "messages", "flow_us", "model_us",
                      "failed"),
     },
+    "dcn": {
+        "points": ("campaign", "cells"),
+        "key": ("design", "workload", "load"),
+        "metric": ("flows_per_second", flows_per_second),
+        "identity": ("flows", "completed", "failed", "rerouted",
+                     "fault_events", "avg_hops", "throughput_gbps",
+                     "fct_avg_s", "fct_p50_s", "fct_p99_s",
+                     "fct_p999_s", "slowdown_avg", "slowdown_p50",
+                     "slowdown_p99", "slowdown_p999"),
+    },
 }
+
+
+def metric_of(kind):
+    """(name, getter) of the kind's comparison metric."""
+    metric = BENCH_KINDS[kind]["metric"]
+    if isinstance(metric, tuple):
+        return metric
+    return metric, lambda point: point[metric]
+
+
+def point_label(key):
+    return "/".join(f"{part:.2f}" if isinstance(part, float)
+                    else str(part) for part in key)
 
 
 def load_points(path):
@@ -63,8 +104,8 @@ def load_points(path):
             doc = json.load(fh)
     except OSError as err:
         sys.exit(f"bench_compare: cannot read {path}: {err.strerror}"
-                 " (generate it with `bench_simcore --json` or "
-                 "`bench_coll --json`)")
+                 " (generate it with `bench_simcore --json`, "
+                 "`bench_coll --json` or `bench_dcn --json`)")
     except json.JSONDecodeError as err:
         sys.exit(f"bench_compare: {path} is not valid JSON ({err})")
     kind = doc.get("bench")
@@ -72,9 +113,13 @@ def load_points(path):
         sys.exit(f"bench_compare: {path} is not a known bench report "
                  f"(bench={kind!r}, expected one of "
                  f"{sorted(BENCH_KINDS)})")
+    spec = BENCH_KINDS[kind]
     try:
+        points = doc
+        for field in spec["points"]:
+            points = points[field]
         return kind, doc.get("smoke", False), {
-            (p["name"], p["rate"]): p for p in doc["points"]
+            tuple(p[field] for field in spec["key"]): p for p in points
         }
     except (KeyError, TypeError) as err:
         sys.exit(f"bench_compare: {path} is missing expected "
@@ -153,7 +198,7 @@ def main():
     if base_smoke != cand_smoke:
         sys.exit("refusing to compare a --smoke run against a full "
                  "run: the workloads differ")
-    metric = BENCH_KINDS[base_kind]["metric"]
+    metric_name, metric = metric_of(base_kind)
     identity = BENCH_KINDS[base_kind]["identity"]
 
     common = sorted(base.keys() & cand.keys())
@@ -163,18 +208,19 @@ def main():
                  "produced by different benchmarks?")
     for key in sorted(base.keys() ^ cand.keys()):
         side = "baseline" if key in base else "candidate"
-        print(f"note: {key[0]} @ {key[1]} only in {side}, skipped")
+        print(f"note: {point_label(key)} only in {side}, skipped")
 
     failures = []
-    print(f"{'point':44s} {'base':>9s} {'cand':>9s} {'ratio':>7s}  "
+    print(f"metric: {metric_name}")
+    print(f"{'point':44s} {'base':>12s} {'cand':>12s} {'ratio':>7s}  "
           f"identical")
     for key in common:
         b, c = base[key], cand[key]
-        ratio = (c[metric] / b[metric]
-                 if b[metric] > 0 else float("inf"))
+        b_metric, c_metric = metric(b), metric(c)
+        ratio = c_metric / b_metric if b_metric > 0 else float("inf")
         identical = all(b[f] == c[f] for f in identity)
-        label = f"{key[0]}/{key[1]:.2f}"
-        print(f"{label:44s} {b[metric]:9.3f} {c[metric]:9.3f} "
+        label = point_label(key)
+        print(f"{label:44s} {b_metric:12.3f} {c_metric:12.3f} "
               f"{ratio:6.2f}x  {'yes' if identical else 'NO'}")
         if ratio < 1.0 - args.max_regress / 100.0:
             failures.append(

@@ -33,7 +33,9 @@
 #      and bench_coll --smoke is gated against a fresh re-run with
 #      tools/bench_compare.py --require-identical (the engine is
 #      deterministic, so any drift is a behavioural change; the bench
-#      manifests prove both runs shared one configuration),
+#      manifests prove both runs shared one configuration), and
+#      bench_dcn --smoke likewise against itself, on every result
+#      column of the flow engine,
 #   8. the flight-recorder stack: the disabled-recordEvent overhead
 #      guard (same >=10x contract as the profiler), a watchdog stall
 #      smoke (a deliberately sleeping worker must be diagnosed and
@@ -216,6 +218,16 @@ build-release/bench/bench_coll --smoke \
     --json "$OBS_TMP/BENCH_coll_b.json"
 python3 tools/bench_compare.py "$OBS_TMP/BENCH_coll_a.json" \
     "$OBS_TMP/BENCH_coll_b.json" --require-identical
+
+echo "== dcn bench: deterministic against itself =="
+# Same contract as coll, on the flow engine's max-min waterfill: two
+# smoke runs must agree on every result column. The metric (flows per
+# host second) is wall-clock, and smoke cells last milliseconds, so
+# only identity gates here (--max-regress 100 never trips).
+build/bench/bench_dcn --smoke --json "$OBS_TMP/BENCH_dcn_a.json"
+build/bench/bench_dcn --smoke --json "$OBS_TMP/BENCH_dcn_b.json"
+python3 tools/bench_compare.py "$OBS_TMP/BENCH_dcn_a.json" \
+    "$OBS_TMP/BENCH_dcn_b.json" --require-identical --max-regress 100
 
 echo "== watchdog smoke: stalled worker diagnosed in under a second =="
 # The helper forks a worker that registers a heartbeat and then
