@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "tech/cooling.hpp"
 #include "tech/external_io.hpp"
@@ -98,6 +100,15 @@ struct ExternalIoCase
     double side;
     double expected_ports_200g;
 };
+
+// Print a case as its technology and side. Without this gtest prints
+// the raw bytes of the struct, `name` pointer included, and that
+// pointer moves with every build and every address-space layout; the
+// printed value is also what names each case under ctest.
+void PrintTo(const ExternalIoCase &c, std::ostream *os)
+{
+    *os << c.name << "_" << static_cast<int>(c.side) << "mm";
+}
 
 class ExternalIoCapacity
     : public ::testing::TestWithParam<ExternalIoCase>
