@@ -13,10 +13,14 @@
  * The paper simulates the 8192-port (96-SSC) fabric; the default here
  * is the 2048-port quarter-scale fabric so the bench completes on a
  * laptop core — set WSS_BENCH_PORTS=8192 for the full configuration.
+ *
+ * The 14 (routing x load) points run as one exec::Campaign on a
+ * work-stealing pool (WSS_JOBS threads); per-cell timing lands in
+ * WSS_BENCH_CSV / WSS_BENCH_JSON when set.
  */
 
 #include "bench_common.hpp"
-#include "sim/load_sweep.hpp"
+#include "exec/campaign.hpp"
 #include "topology/clos.hpp"
 
 int
@@ -45,32 +49,35 @@ main()
 
     const std::vector<double> rates = {0.1, 0.3, 0.5, 0.6, 0.7,
                                        0.8, 0.9};
-    sim::SimConfig cfg;
-    cfg.warmup = fast ? 300 : 1000;
-    cfg.measure = fast ? 1000 : 2500;
-    cfg.drain_limit = fast ? 3000 : 6000;
-    cfg.seed = bench::envInt("WSS_BENCH_SEED", 1);
+    exec::Campaign campaign;
+    for (bool proprietary : {false, true}) {
+        exec::SweepJob job;
+        job.make_network = [&topo, spec = make_spec(proprietary)](
+                               std::uint64_t seed) {
+            return std::make_unique<sim::Network>(topo, spec, seed);
+        };
+        job.make_workload = [ports](double rate, std::uint64_t) {
+            return std::make_unique<sim::SyntheticWorkload>(
+                sim::uniformTraffic(static_cast<int>(ports)), rate, 1);
+        };
+        job.rates = rates;
+        job.cfg.warmup = fast ? 300 : 1000;
+        job.cfg.measure = fast ? 1000 : 2500;
+        job.cfg.drain_limit = fast ? 3000 : 6000;
+        job.cfg.seed = bench::envInt("WSS_BENCH_SEED", 1);
+        campaign.addSweep(proprietary ? "proprietary" : "baseline",
+                          std::move(job));
+    }
+
+    exec::ThreadPool pool(bench::benchJobs());
+    const auto result = campaign.run(&pool);
+    const sim::SweepResult &base = result.jobs[0].sweep.combined;
+    const sim::SweepResult &prop = result.jobs[1].sweep.combined;
 
     Table table("Average packet latency (cycles of 20 ns)",
                 {"offered load", "baseline latency",
                  "proprietary latency", "baseline accepted",
                  "proprietary accepted"});
-    sim::SweepResult base, prop;
-    for (bool proprietary : {false, true}) {
-        const auto spec = make_spec(proprietary);
-        auto sweep = sim::sweepLoad(
-            [&] {
-                return std::make_unique<sim::Network>(topo, spec,
-                                                      cfg.seed);
-            },
-            [&](double rate) {
-                return std::make_unique<sim::SyntheticWorkload>(
-                    sim::uniformTraffic(static_cast<int>(ports)), rate,
-                    1);
-            },
-            rates, cfg);
-        (proprietary ? prop : base) = std::move(sweep);
-    }
     for (std::size_t i = 0; i < rates.size(); ++i) {
         table.addRow({Table::num(rates[i], 2),
                       Table::num(base.points[i].avg_latency, 1),
@@ -95,5 +102,6 @@ main()
     std::cout << "Paper: proprietary routing lowers zero-load latency "
                  "and raises saturation throughput by 14.5%/11% for "
                  "the\n200/300 mm switches.\n";
+    bench::reportCampaign(result);
     return 0;
 }

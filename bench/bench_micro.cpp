@@ -85,12 +85,10 @@ BM_RouterCycleThroughput(benchmark::State &state)
         workload.generate(now, rng, [&](int src, int dst, int flits) {
             for (int i = 0; i < flits; ++i) {
                 sim::Flit flit;
-                flit.src = src;
                 flit.dst = dst;
                 flit.head = i == 0;
                 flit.tail = i == flits - 1;
                 flit.vc = 0;
-                flit.created = now;
                 source[src].push_back(flit);
             }
         });
@@ -132,12 +130,10 @@ BM_RouterCycleThroughputObserved(benchmark::State &state)
         workload.generate(now, rng, [&](int src, int dst, int flits) {
             for (int i = 0; i < flits; ++i) {
                 sim::Flit flit;
-                flit.src = src;
                 flit.dst = dst;
                 flit.head = i == 0;
                 flit.tail = i == flits - 1;
                 flit.vc = 0;
-                flit.created = now;
                 source[src].push_back(flit);
             }
         });
@@ -211,13 +207,11 @@ BM_InjectSparse(benchmark::State &state)
     spec.buffer_per_port = 32;
     sim::Network net(topo, spec, 3);
     sim::Flit flit;
-    flit.src = 0;
     flit.dst = 1;
     flit.head = true;
     flit.tail = true;
     sim::Cycle now = 0;
     for (auto _ : state) {
-        flit.created = now;
         benchmark::DoNotOptimize(net.tryInject(0, now, flit));
         const auto &pending = net.ejectPending();
         for (std::size_t w = 0; w < pending.size(); ++w) {

@@ -9,14 +9,18 @@
  * 2L + processing — exactly the RTT that drives the buffer-sizing
  * results of Fig. 21.
  *
- * Both directions are fixed-capacity rings. A strictly-popped delay
- * line holds at most L+1 items; a line whose consumer is backed by
- * credit flow control can additionally accumulate up to the credit
- * bound, so the ring is sized for both and overflow is a loud
- * protocol bug, never silent growth. Credits carry no payload — both
- * consumers only count them — so the reverse direction is a counting
- * line that tolerates lazy draining (an idle terminal collects its
- * returned credits on the next injection attempt, not every cycle).
+ * The flit direction is a fixed-capacity ring sized to its strict
+ * bound. Every consumer pops on the exact delivery cycle (a router
+ * ingests the arrivals its wake wheel schedules, a terminal ejects
+ * the arrivals its ejection wheel schedules, and pop()/peek() panic
+ * on a missed cycle), and a producer pushes at most once per cycle,
+ * so at most latency + 1 items are ever live: those pushed in cycles
+ * t - latency .. t. The ring holds latency + 2 entries — latency +
+ * lead + 2 for a router-fed channel, whose flit latency includes the
+ * output-pipeline lead — and overflow is a loud protocol bug, never
+ * silent growth. Credits carry no payload and every consumer only
+ * counts them, so the reverse direction stores nothing but its
+ * latency: a credit is a wake-wheel entry at its arrival cycle.
  *
  * ChannelPair additionally carries wake-at-delivery sink descriptors
  * for the active-set scheduler: pushing into a channel schedules a
@@ -44,20 +48,18 @@ class Router;
 
 /**
  * A fixed-latency, fully pipelined delivery line for items of type T.
- * The ring holds latency + 2 + @p slack items; strict consumers need
- * only the pipeline bound, the slack covers credit-bounded backlog.
+ * The ring holds latency + 2 items: the strict bound of a consumer
+ * that pops every item on its delivery cycle.
  */
 template <typename T>
 class DelayLine
 {
   public:
-    explicit DelayLine(int latency, int slack = 0) : latency_(latency)
+    explicit DelayLine(int latency) : latency_(latency)
     {
         if (latency < 1)
             fatal("DelayLine: latency must be >= 1 cycle");
-        if (slack < 0)
-            fatal("DelayLine: slack must be >= 0");
-        slots_.resize(static_cast<std::size_t>(latency + 2 + slack));
+        slots_.resize(static_cast<std::size_t>(latency + 2));
     }
 
     int latency() const { return latency_; }
@@ -74,8 +76,8 @@ class DelayLine
                 panic("DelayLine: two pushes in one cycle");
         }
         if (count_ == slots_.size())
-            panic("DelayLine: ring overflow (consumer fell behind "
-                  "its credit bound)");
+            panic("DelayLine: ring overflow (a consumer missed its "
+                  "delivery cycle)");
         std::size_t slot = head_ + count_;
         if (slot >= slots_.size())
             slot -= slots_.size();
@@ -144,85 +146,18 @@ class DelayLine
 };
 
 /**
- * The reverse (credit) direction of a channel: each push frees one
- * downstream buffer slot after the line's latency. Credits carry no
- * payload, so the line only stores arrival cycles, and drain() — pop
- * everything that has arrived by @p now — tolerates consumers that
- * check in lazily instead of every cycle.
- */
-class CreditLine
-{
-  public:
-    /// @p bound: most credits ever outstanding (the buffer capacity
-    /// backing this line's flow control).
-    CreditLine(int latency, int bound) : latency_(latency)
-    {
-        if (latency < 1)
-            fatal("CreditLine: latency must be >= 1 cycle");
-        if (bound < 1)
-            fatal("CreditLine: credit bound must be >= 1");
-        ready_.resize(static_cast<std::size_t>(bound + 2));
-    }
-
-    int latency() const { return latency_; }
-
-    /// Send one credit in cycle @p now; at most one per cycle.
-    void
-    push(Cycle now)
-    {
-        if (count_ != 0) {
-            std::size_t back = head_ + count_ - 1;
-            if (back >= ready_.size())
-                back -= ready_.size();
-            if (ready_[back] == now + latency_)
-                panic("CreditLine: two pushes in one cycle");
-        }
-        if (count_ == ready_.size())
-            panic("CreditLine: ring overflow (more credits in flight "
-                  "than buffer slots)");
-        std::size_t slot = head_ + count_;
-        if (slot >= ready_.size())
-            slot -= ready_.size();
-        ready_[slot] = now + latency_;
-        ++count_;
-    }
-
-    /// Collect every credit that has arrived by cycle @p now.
-    int
-    drain(Cycle now)
-    {
-        int drained = 0;
-        while (count_ != 0 && ready_[head_] <= now) {
-            if (++head_ == ready_.size())
-                head_ = 0;
-            --count_;
-            ++drained;
-        }
-        return drained;
-    }
-
-    bool empty() const { return count_ == 0; }
-    std::size_t inFlight() const { return count_; }
-
-  private:
-    int latency_;
-    std::vector<Cycle> ready_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-};
-
-/**
- * Flit channel + its paired reverse credit channel, plus the wake
- * sinks the Network wires for active-set scheduling. Exactly one of
- * flit_sink (a router input port) and eject_wheel (the network's
- * terminal-ejection timing wheel) is set on fabric channels;
- * credit_sink is set when the credit consumer is a router output port
- * (terminal injection credits are drained lazily and need no wake).
+ * Flit channel + its reverse credit latency, plus the wake sinks the
+ * Network wires for active-set scheduling. Exactly one of flit_sink
+ * (a router input port) and eject_wheel (the network's terminal-
+ * ejection timing wheel) is set on fabric channels, and exactly one
+ * of credit_sink (a router output port) and credit_wheel (the
+ * network's terminal-credit wheel).
  */
 struct ChannelPair
 {
     DelayLine<Flit> flits;
-    CreditLine credits;
+    /// Cycles a credit takes back to the producer (the wire latency).
+    int credit_latency;
 
     Router *flit_sink = nullptr;
     std::int32_t flit_sink_port = -1;
@@ -235,26 +170,25 @@ struct ChannelPair
     std::uint32_t eject_wheel_mask = 0;
     /// Terminal-injection channels: every credit push lands this
     /// terminal id in the network's credit wheel at the arrival cycle
-    /// instead of entering the CreditLine — Network::step then bumps
-    /// the terminal's credit count exactly when the credit arrives,
-    /// so injection readiness is two array reads with no per-attempt
-    /// channel drain.
+    /// — Network::step then bumps the terminal's credit count exactly
+    /// when the credit arrives, so injection readiness is two array
+    /// reads with no per-attempt channel drain.
     std::vector<std::vector<std::int32_t>> *credit_wheel = nullptr;
     std::int32_t credit_terminal = -1;
     std::uint32_t credit_wheel_mask = 0;
 
-    /// @p credit_bound: buffer capacity backing this channel's flow
-    /// control (bounds both backlogged flits and in-flight credits).
     /// @p flit_lead: extra flit-direction delay folding the upstream
     /// router's output pipeline (VA/SA/ST depth) into the channel —
     /// an arbitrated flit is pushed once, at allocation time, and
     /// simply delivered at t + lead + latency, with no staging ring
     /// to drain in between. Credits are unaffected: they leave at
     /// allocation time and take only the wire latency.
-    ChannelPair(int latency, int credit_bound, int flit_lead = 0)
-        : flits(latency + flit_lead, credit_bound),
-          credits(latency, credit_bound)
-    {}
+    explicit ChannelPair(int latency, int flit_lead = 0)
+        : flits(latency + flit_lead), credit_latency(latency)
+    {
+        if (latency < 1 || flit_lead < 0)
+            fatal("ChannelPair: need latency >= 1 and lead >= 0");
+    }
 };
 
 } // namespace wss::sim

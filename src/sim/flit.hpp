@@ -22,30 +22,30 @@ namespace wss::sim {
 using Cycle = std::int64_t;
 
 /**
- * One flit in flight.
+ * One flit in flight: exactly what a router reads (destination, VC,
+ * hop count, head/tail) plus the packet it belongs to. Per-packet
+ * timestamps live in the Simulator's packet table, keyed by
+ * `packet`, so a flit stays 16 bytes: it sets the size of every
+ * channel-ring entry and flit-pool slot the cycle loop walks.
  */
 struct Flit
 {
-    /// Identifier of the packet this flit belongs to.
-    std::uint64_t packet_id = 0;
-    /// Source terminal (external port) id.
-    std::int32_t src = 0;
+    /// Packet this flit belongs to (the Simulator's packet-table
+    /// slot; raw drivers may use any id).
+    std::uint32_t packet = 0;
     /// Destination terminal id.
     std::int32_t dst = 0;
     /// Virtual channel currently carrying the flit (set hop by hop).
     std::int16_t vc = 0;
+    /// Router hops taken so far (for hop statistics).
+    std::int16_t hops = 0;
     /// True for the first flit of a packet (triggers RC + VA).
     bool head = false;
     /// True for the last flit (releases the VC); single-flit packets
     /// are both head and tail.
     bool tail = false;
-    /// Cycle the packet was created (enqueued at the source).
-    Cycle created = 0;
-    /// Cycle the head flit entered the network proper.
-    Cycle injected = 0;
-    /// Router hops taken so far (for hop statistics).
-    std::int16_t hops = 0;
 };
+static_assert(sizeof(Flit) == 16);
 
 } // namespace wss::sim
 

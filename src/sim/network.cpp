@@ -99,10 +99,9 @@ Network::Network(const topology::LogicalTopology &topo,
                 // artificial bottleneck.
                 const int landing = 2 * spec.terminal_link_latency + 8;
                 ep.to_router = std::make_unique<ChannelPair>(
-                    spec.terminal_link_latency, spec.buffer_per_port);
+                    spec.terminal_link_latency);
                 ep.from_router = std::make_unique<ChannelPair>(
-                    spec.terminal_link_latency, landing,
-                    spec.pipeline_delay);
+                    spec.terminal_link_latency, spec.pipeline_delay);
                 ep.credits = spec.buffer_per_port;
                 routers_[r]->connectInput(p, ep.to_router.get());
                 routers_[r]->connectOutput(p, ep.from_router.get(),
@@ -133,10 +132,10 @@ Network::Network(const topology::LogicalTopology &topo,
                                 ? spec.internal_link_latency
                                 : spec.link_latency[li];
         for (int m = 0; m < link.multiplicity; ++m) {
-            auto ab = std::make_unique<ChannelPair>(
-                latency, spec.buffer_per_port, spec.pipeline_delay);
-            auto ba = std::make_unique<ChannelPair>(
-                latency, spec.buffer_per_port, spec.pipeline_delay);
+            auto ab =
+                std::make_unique<ChannelPair>(latency, spec.pipeline_delay);
+            auto ba =
+                std::make_unique<ChannelPair>(latency, spec.pipeline_delay);
             const int pa = next_port[link.a]++;
             const int pb = next_port[link.b]++;
             routers_[link.a]->connectOutput(pa, ab.get(),
@@ -316,8 +315,7 @@ Network::step(Cycle now)
 
     // Same for terminal injection credits arriving in cycle now + 1:
     // one wheel entry = one credit, counted straight into the
-    // terminal — visible to inject(now + 1) exactly when the lazy
-    // CreditLine drain would have surfaced it.
+    // terminal, visible to inject(now + 1).
     auto &credits = credit_wheel_[static_cast<std::size_t>(now + 1) &
                                   credit_wheel_mask_];
     for (const std::int32_t t : credits)

@@ -228,8 +228,7 @@ class Network
     /// Delivery-cycle wheel for terminal injection credits: slot
     /// c & mask lists one entry per credit arriving in cycle c.
     /// step(now) drains slot now + 1 into the terminals' credit
-    /// counts, exactly when the old lazy CreditLine drain would have
-    /// surfaced them to an injection attempt.
+    /// counts, so inject(now + 1) sees every credit that has arrived.
     std::vector<std::vector<std::int32_t>> credit_wheel_;
     std::uint32_t credit_wheel_mask_ = 0;
     std::vector<std::unique_ptr<Router>> routers_;

@@ -74,7 +74,7 @@ Router::connectOutput(int port, ChannelPair *channel,
     out.channel = channel;
     out.credits = downstream_buffer;
     if (channel)
-        growWakeWheel(channel->credits.latency());
+        growWakeWheel(channel->credit_latency);
 }
 
 void

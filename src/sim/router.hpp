@@ -197,9 +197,9 @@ class Router
 
     /**
      * Wire input port @p port to @p channel (flits arrive on
-     * channel->flits, credits leave on channel->credits). Terminal
-     * injection ports use the terminal's channel; pass nullptr for
-     * unused ports.
+     * channel->flits, credits return through channelPushCredit).
+     * Terminal injection ports use the terminal's channel; pass
+     * nullptr for unused ports.
      */
     void connectInput(int port, ChannelPair *channel);
 
@@ -459,25 +459,22 @@ channelPushFlit(ChannelPair &ch, Cycle now, const Flit &flit)
 }
 
 /// Push a credit toward a channel's consumer for delivery after the
-/// credit latency. Fabric credits never enter the CreditLine: a
-/// router-consumed credit is a wake-wheel entry that bumps the output
-/// port's count at its arrival cycle, and a terminal-injection credit
-/// is an entry in the network's credit wheel (one entry = one
-/// credit). Only standalone channels (no sink wired) use the line.
+/// credit latency. A credit carries nothing: a router-consumed credit
+/// is a wake-wheel entry that bumps the output port's count at its
+/// arrival cycle, and a terminal-injection credit is an entry in the
+/// network's credit wheel (one entry = one credit).
 inline void
 channelPushCredit(ChannelPair &ch, Cycle now)
 {
-    if (ch.credit_sink) {
-        ch.credit_sink->noteIncomingCredit(
-            ch.credit_sink_port, now + ch.credits.latency());
-    } else if (ch.credit_wheel) {
-        (*ch.credit_wheel)[static_cast<std::size_t>(
-                               now + ch.credits.latency()) &
+    const Cycle ready = now + ch.credit_latency;
+    if (ch.credit_sink)
+        ch.credit_sink->noteIncomingCredit(ch.credit_sink_port, ready);
+    else if (ch.credit_wheel)
+        (*ch.credit_wheel)[static_cast<std::size_t>(ready) &
                            ch.credit_wheel_mask]
             .push_back(ch.credit_terminal);
-    } else {
-        ch.credits.push(now); // standalone use: drained lazily
-    }
+    else
+        panic("channelPushCredit: channel has no credit consumer");
 }
 
 } // namespace wss::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
@@ -22,9 +23,17 @@ Simulator::Simulator(Network &network, Workload &workload,
         (static_cast<std::size_t>(network.terminalCount()) + 63) / 64,
         0);
     current_vc_.assign(network.terminalCount(), 0);
+    current_packet_.assign(
+        static_cast<std::size_t>(network.terminalCount()), 0);
     next_vc_.assign(network.terminalCount(), 0);
     front_head_.assign(
         static_cast<std::size_t>(network.terminalCount()), 0);
+    // One packet in flight per terminal before the packet table
+    // first grows; past that it grows amortized to its high-water
+    // mark.
+    packets_.reserve(static_cast<std::size_t>(network.terminalCount()));
+    free_packets_.reserve(
+        static_cast<std::size_t>(network.terminalCount()));
     // At most one packet per terminal per cycle can fall in the
     // measurement window, so this bound makes the latency sampler
     // allocation-free for the whole run (capped: a huge fabric's
@@ -157,14 +166,14 @@ Simulator::emitPacket(int src, int dst, int flits)
         dst >= network_.terminalCount())
         fatal("workload emitted an out-of-range terminal (", src,
               " -> ", dst, ")");
+    if (flits < 1)
+        fatal("workload emitted a packet of ", flits, " flits (", src,
+              " -> ", dst, "); packets need at least one flit");
     if (dst == src)
         return; // self-traffic never enters the fabric
-    const std::uint64_t id = next_packet_id_++;
-    const Cycle now = gen_now_;
     for (int i = 0; i < flits; ++i) {
         SourceFlit sf;
-        sf.packet_id = id;
-        sf.created = now;
+        sf.created = gen_now_;
         sf.dst = dst;
         sf.head = i == 0;
         sf.tail = i == flits - 1;
@@ -177,6 +186,23 @@ Simulator::emitPacket(int src, int dst, int flits)
         std::uint64_t{1} << (src & 63);
     if (gen_in_window_)
         ++measured_created_;
+}
+
+std::uint32_t
+Simulator::allocPacket(Cycle created)
+{
+    std::uint32_t packet;
+    if (free_packets_.empty()) {
+        if (packets_.size() > std::numeric_limits<std::uint32_t>::max())
+            fatal("Simulator: more than 2^32 packets in flight");
+        packet = static_cast<std::uint32_t>(packets_.size());
+        packets_.emplace_back();
+    } else {
+        packet = free_packets_.back();
+        free_packets_.pop_back();
+    }
+    packets_[packet].created = created;
+    return packet;
 }
 
 void
@@ -217,22 +243,24 @@ Simulator::inject(Cycle now)
             auto &queue = source_[t];
             const SourceFlit &sf = queue.front();
             if (sf.head) {
-                // New packet: pick its VC (round-robin per terminal).
+                // New packet: pick its VC (round-robin per terminal)
+                // and its packet-table slot (injectReady guarantees
+                // the head enters the fabric this cycle).
                 current_vc_[t] = next_vc_[t];
                 next_vc_[t] = next_vc_[t] + 1 == network_.vcs()
                                   ? 0
                                   : next_vc_[t] + 1;
+                current_packet_[t] = allocPacket(sf.created);
             }
             Flit flit;
-            flit.packet_id = sf.packet_id;
-            flit.src = t;
+            flit.packet = current_packet_[t];
             flit.dst = sf.dst;
             flit.vc = current_vc_[t];
             flit.head = sf.head;
             flit.tail = sf.tail;
-            flit.created = sf.created;
-            flit.injected = now;
             if (network_.tryInject(t, now, flit)) {
+                if (sf.tail)
+                    packets_[flit.packet].injected = now;
                 queue.pop_front();
                 ++flits_injected_;
                 if (queue.empty())
@@ -275,17 +303,19 @@ Simulator::ejectAll(Cycle now)
                 continue;
             // Tail: the whole packet has arrived.
             workload_.packetDelivered(now);
+            const PacketRecord packet = packets_[flit->packet];
+            free_packets_.push_back(flit->packet);
             const bool measured =
                 cfg_.run_to_exhaustion ||
-                (flit->created >= cfg_.warmup &&
-                 flit->created < cfg_.warmup + cfg_.measure);
+                (packet.created >= cfg_.warmup &&
+                 packet.created < cfg_.warmup + cfg_.measure);
             if (measured) {
                 const auto latency =
-                    static_cast<double>(now - flit->created);
+                    static_cast<double>(now - packet.created);
                 packet_latency_.add(latency);
                 packet_latency_q_.add(latency);
                 network_latency_.add(
-                    static_cast<double>(now - flit->injected));
+                    static_cast<double>(now - packet.injected));
                 hops_.add(static_cast<double>(flit->hops));
                 ++measured_finished_;
             }

@@ -58,7 +58,7 @@ struct SimResult
     double avg_packet_latency = 0.0;
     /// 99th percentile of the same.
     double p99_packet_latency = 0.0;
-    /// Mean network latency (head injection to tail ejection).
+    /// Mean network latency (tail injection to tail ejection).
     double avg_network_latency = 0.0;
     /// Mean router hops per packet.
     double avg_hops = 0.0;
@@ -104,6 +104,9 @@ class Simulator
   private:
     void generate(Cycle now);
     void emitPacket(int src, int dst, int flits);
+    /// Take a packet-table slot for a packet whose head enters the
+    /// fabric now.
+    std::uint32_t allocPacket(Cycle created);
     void inject(Cycle now);
     void ejectAll(Cycle now);
 
@@ -142,13 +145,30 @@ class Simulator
     /// the real Flit. Past saturation the backlog dwarfs every cache,
     /// so entry size directly sets the DRAM-miss rate of the two
     /// hottest loops (emitPacket's tail writes, inject's head reads).
+    /// The creation cycle rides here, not in the packet table, so a
+    /// backlogged packet holds no table slot.
     struct SourceFlit
     {
-        std::uint64_t packet_id;
         Cycle created;
         std::int32_t dst;
         bool head;
         bool tail;
+    };
+    static_assert(sizeof(SourceFlit) == 16);
+
+    /// Per-packet timestamps, kept out of the flits so every flit the
+    /// cycle loop moves stays 16 bytes. A packet takes its slot when
+    /// its head enters the fabric (a flit's `packet` field) and
+    /// returns it to the free list when its tail is ejected, so the
+    /// table is bounded by the packets inside the fabric at once and
+    /// stays cache-resident however deep the source backlog grows.
+    struct PacketRecord
+    {
+        /// Cycle the packet was created (enqueued at the source).
+        Cycle created;
+        /// Cycle the tail flit entered the network: network latency
+        /// runs from here to tail ejection.
+        Cycle injected;
     };
 
     /// Per-terminal source queues (open-loop: unbounded, but ring-
@@ -161,6 +181,8 @@ class Simulator
     /// the wrapping round-robin cursor for the next one.
     std::vector<std::int16_t> current_vc_;
     std::vector<std::int16_t> next_vc_;
+    /// Per-terminal packet-table slot of the packet being injected.
+    std::vector<std::uint32_t> current_packet_;
     /// Whether source_[t].front() is a head flit — lets a blocked
     /// injection attempt advance the VC cursor (as every attempt
     /// always has) without touching the queue at all.
@@ -174,7 +196,9 @@ class Simulator
     Cycle gen_now_ = 0;
     bool gen_in_window_ = false;
 
-    std::uint64_t next_packet_id_ = 0;
+    std::vector<PacketRecord> packets_;
+    /// Recycled packets_ slots, reused last-freed first.
+    std::vector<std::uint32_t> free_packets_;
 
     // Measurement bookkeeping.
     StatsAccumulator packet_latency_;

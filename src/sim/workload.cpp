@@ -1,5 +1,7 @@
 #include "sim/workload.hpp"
 
+#include <cmath>
+
 #include "util/logging.hpp"
 
 namespace wss::sim {
@@ -10,8 +12,12 @@ SyntheticWorkload::SyntheticWorkload(
 {
     if (!pattern_)
         fatal("SyntheticWorkload: pattern is required");
-    if (rate_ < 0.0)
-        fatal("SyntheticWorkload: rate must be non-negative");
+    // NaN passes every ordered comparison below and would make a
+    // silently empty run.
+    if (!std::isfinite(rate_) || rate_ < 0.0)
+        fatal("SyntheticWorkload: rate ", rate_, " over ",
+              pattern_->terminals(),
+              " terminals must be finite and non-negative");
     if (packet_size_ < 1)
         fatal("SyntheticWorkload: packet size must be >= 1");
     if (rate_ / packet_size_ > 1.0)

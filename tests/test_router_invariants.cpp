@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "power/ssc.hpp"
 #include "sim/simulator.hpp"
@@ -30,7 +31,7 @@ struct RawHarness
 {
     Network net;
     std::vector<Flit> ejected;
-    std::uint64_t next_packet = 0;
+    std::uint32_t next_packet = 0;
 
     RawHarness(const topology::LogicalTopology &topo,
                const NetworkSpec &spec, std::uint64_t seed)
@@ -38,18 +39,16 @@ struct RawHarness
     {}
 
     void
-    sendPacket(Cycle now, int src, int dst, int flits, int vc)
+    sendPacket(int src, int dst, int flits, int vc)
     {
         for (int i = 0; i < flits; ++i) {
             Flit flit;
-            flit.packet_id = next_packet;
-            flit.src = src;
+            flit.packet = next_packet;
             flit.dst = dst;
             flit.head = i == 0;
             flit.tail = i == flits - 1;
             flit.vc = static_cast<std::int16_t>(vc);
-            flit.created = now;
-            pending.push_back(flit);
+            pending.push_back({src, flit});
         }
         ++next_packet;
     }
@@ -58,7 +57,8 @@ struct RawHarness
     tick(Cycle now)
     {
         if (!pending.empty() &&
-            net.tryInject(pending.front().src, now, pending.front()))
+            net.tryInject(pending.front().first, now,
+                          pending.front().second))
             pending.erase(pending.begin());
         for (int t = 0; t < net.terminalCount(); ++t)
             if (auto flit = net.eject(t, now))
@@ -66,7 +66,8 @@ struct RawHarness
         net.step(now);
     }
 
-    std::vector<Flit> pending;
+    /// (source terminal, flit) in injection order.
+    std::vector<std::pair<int, Flit>> pending;
 };
 
 TEST(RouterInvariants, MultiFlitPacketArrivesInOrderAndComplete)
@@ -78,7 +79,7 @@ TEST(RouterInvariants, MultiFlitPacketArrivesInOrderAndComplete)
     spec.pipeline_delay = 2;
     spec.terminal_link_latency = 3;
     RawHarness harness(topo, spec, 1);
-    harness.sendPacket(0, 0, 12, 6, 0);
+    harness.sendPacket(0, 12, 6, 0);
     for (Cycle now = 0; now < 300; ++now)
         harness.tick(now);
     ASSERT_EQ(harness.ejected.size(), 6u);
@@ -99,14 +100,14 @@ TEST(RouterInvariants, PacketsOnTheSameVcDoNotInterleave)
     spec.pipeline_delay = 1;
     spec.terminal_link_latency = 1;
     RawHarness harness(topo, spec, 2);
-    harness.sendPacket(0, 0, 12, 3, 0);
-    harness.sendPacket(0, 0, 12, 3, 0);
+    harness.sendPacket(0, 12, 3, 0);
+    harness.sendPacket(0, 12, 3, 0);
     for (Cycle now = 0; now < 300; ++now)
         harness.tick(now);
     ASSERT_EQ(harness.ejected.size(), 6u);
     // First three flits belong to packet 0, then packet 1.
     for (std::size_t i = 0; i < 6; ++i)
-        EXPECT_EQ(harness.ejected[i].packet_id, i / 3);
+        EXPECT_EQ(harness.ejected[i].packet, i / 3);
 }
 
 class StressSweep
@@ -155,8 +156,8 @@ TEST(RouterInvariants, HopCountsMatchTopologyDistance)
     spec.buffer_per_port = 8;
     RawHarness harness(topo, spec, 3);
     // Terminal 0 and 1 share a leaf; 0 and 12 are on different leaves.
-    harness.sendPacket(0, 0, 1, 1, 0);
-    harness.sendPacket(0, 1, 12, 1, 1);
+    harness.sendPacket(0, 1, 1, 0);
+    harness.sendPacket(1, 12, 1, 1);
     for (Cycle now = 0; now < 200; ++now)
         harness.tick(now);
     ASSERT_EQ(harness.ejected.size(), 2u);

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "power/ssc.hpp"
 #include "sim/channel.hpp"
@@ -50,6 +52,47 @@ TEST(DelayLine, RejectsDoublePushPerCycle)
     EXPECT_DEATH(line.push(5, 2), "two pushes");
 }
 
+TEST(DelayLine, StrictConsumerNeverOverflowsTheRing)
+{
+    // A push every cycle, each item popped on its delivery cycle:
+    // after cycle t's push the items of cycles t-L .. t are live,
+    // latency + 1 of them, the most a strict consumer ever sees.
+    const int latency = 4;
+    DelayLine<int> line(latency);
+    std::size_t peak = 0;
+    for (int now = 0; now < 1000; ++now) {
+        line.push(now, now);
+        peak = std::max(peak, line.inFlight());
+        const auto item = line.pop(now);
+        ASSERT_EQ(item.has_value(), now >= latency);
+        if (item) {
+            EXPECT_EQ(*item, now - latency);
+        }
+    }
+    EXPECT_EQ(peak, static_cast<std::size_t>(latency + 1));
+}
+
+TEST(DelayLine, RejectsPushPastCapacity)
+{
+    // The ring holds latency + 2 items; a consumer that stops popping
+    // lets the next push past that die loudly instead of growing.
+    const int latency = 3;
+    DelayLine<int> line(latency);
+    for (int now = 0; now < latency + 2; ++now)
+        line.push(now, now);
+    EXPECT_EQ(line.inFlight(), static_cast<std::size_t>(latency + 2));
+    EXPECT_DEATH(line.push(latency + 2, 0), "ring overflow");
+}
+
+TEST(DelayLine, RejectsSkippedDeliveryCycle)
+{
+    DelayLine<int> line(2);
+    line.push(0, 7);
+    EXPECT_FALSE(line.pop(1).has_value());
+    EXPECT_DEATH(line.pop(3), "missed its delivery cycle");
+    EXPECT_DEATH(line.peek(3), "missed its delivery cycle");
+}
+
 /// A tiny fabric: 8 ports over 2 leaves + 1 spine of radix-8 SSCs.
 topology::LogicalTopology
 tinyClos()
@@ -72,6 +115,56 @@ tinySpec()
     return spec;
 }
 
+/// Emits exactly one packet, at a fixed cycle.
+class ScriptedPacket : public Workload
+{
+  public:
+    ScriptedPacket(Cycle at, int src, int dst, int flits)
+        : at_(at), src_(src), dst_(dst), flits_(flits)
+    {}
+
+    void
+    generate(Cycle now, Rng &, const EmitPacket &emit) override
+    {
+        if (now == at_)
+            emit(src_, dst_, flits_);
+    }
+    double offeredLoad() const override { return 0.0; }
+    std::string name() const override { return "scripted"; }
+
+  private:
+    Cycle at_;
+    int src_, dst_, flits_;
+};
+
+TEST(SimulatorLatency, OnePacketOnAnIdleClosMatchesHandComputedValues)
+{
+    // A 4-flit packet 0 -> 5 created at cycle 10 on an idle fabric.
+    // Its flits inject one per cycle, 10..13. The head takes the
+    // 20-cycle zero-load path of SingleFlitCrossesWithExactZeroLoad-
+    // Latency (ejected at 30); each body flit trails by one cycle,
+    // so the tail is ejected at 33.
+    //   packet latency  = creation to tail ejection    = 33 - 10 = 23
+    //   network latency = tail injection to tail eject = 33 - 13 = 20
+    const auto topo = tinyClos();
+    Network net(topo, tinySpec(), 1);
+    ScriptedPacket workload(10, 0, 5, 4);
+    SimConfig cfg;
+    cfg.warmup = 10;
+    cfg.measure = 100;
+    cfg.drain_limit = 1000;
+    Simulator sim(net, workload, cfg);
+    const SimResult r = sim.run();
+    ASSERT_TRUE(r.stable);
+    EXPECT_EQ(r.packets_measured, 1);
+    EXPECT_EQ(r.packets_finished, 1);
+    EXPECT_EQ(r.flits_delivered, 4);
+    EXPECT_EQ(r.avg_packet_latency, 23.0);
+    EXPECT_EQ(r.p99_packet_latency, 23.0);
+    EXPECT_EQ(r.avg_network_latency, 20.0);
+    EXPECT_EQ(r.avg_hops, 3.0);
+}
+
 TEST(Network, BuildsTheExpectedShape)
 {
     const auto topo = tinyClos();
@@ -89,11 +182,9 @@ TEST(Network, SingleFlitCrossesWithExactZeroLoadLatency)
     Network net(topo, tinySpec(), 1);
 
     Flit flit;
-    flit.packet_id = 1;
-    flit.src = 0;
+    flit.packet = 1;
     flit.dst = 5; // other leaf: leaf-spine-leaf
     flit.head = flit.tail = true;
-    flit.created = 0;
     flit.vc = 0;
     ASSERT_TRUE(net.tryInject(0, 0, flit));
 
@@ -118,7 +209,6 @@ TEST(Network, SameLeafTrafficSkipsTheSpine)
     const auto topo = tinyClos();
     Network net(topo, tinySpec(), 1);
     Flit flit;
-    flit.src = 0;
     flit.dst = 1; // same leaf
     flit.head = flit.tail = true;
     flit.vc = 0;
@@ -149,7 +239,6 @@ TEST(Network, InjectionRespectsCredits)
     int accepted = 0;
     for (int i = 0; i < 10; ++i) {
         Flit flit;
-        flit.src = 0;
         flit.dst = 4;
         flit.head = flit.tail = true;
         flit.vc = 0;
@@ -440,6 +529,30 @@ TEST(Workload, RejectsOverUnityPacketRate)
 {
     EXPECT_DEATH(
         SyntheticWorkload(uniformTraffic(8), 1.5, 1), "exceeds");
+}
+
+TEST(Workload, RejectsNonFiniteRate)
+{
+    // NaN compares false against every bound, so it needs its own
+    // check; the message names the rate and the terminal count.
+    EXPECT_DEATH(SyntheticWorkload(uniformTraffic(8), std::nan(""), 1),
+                 "rate nan over 8 terminals");
+    EXPECT_DEATH(
+        SyntheticWorkload(uniformTraffic(8),
+                          std::numeric_limits<double>::infinity(), 1),
+        "rate inf over 8 terminals");
+    EXPECT_DEATH(SyntheticWorkload(uniformTraffic(8), -0.5, 1),
+                 "rate -0.5 over 8 terminals");
+}
+
+TEST(Simulator, RejectsPacketsWithoutFlits)
+{
+    // A zero-flit packet would count as created but never finish.
+    const auto topo = tinyClos();
+    Network net(topo, tinySpec(), 1);
+    ScriptedPacket workload(5, 2, 6, 0);
+    Simulator sim(net, workload, SimConfig{});
+    EXPECT_DEATH(sim.run(), "packet of 0 flits \\(2 -> 6\\)");
 }
 
 } // namespace

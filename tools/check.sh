@@ -9,7 +9,8 @@
 #      sweep runner / resilience fan-out / metrics merge is
 #      race-checked, and
 #   3. an AddressSanitizer build of the simulator core running the
-#      bit-exact determinism suite (the `asan` preset), so flit-pool
+#      bit-exact determinism suite plus the channel-ring and latency
+#      tests of test_sim (the `asan` preset), so flit-pool
 #      lifetime or ring-buffer indexing bugs introduced by hot-path
 #      work die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
@@ -17,7 +18,9 @@
 #      string handling runs heap-checked),
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
-#      perf numbers themselves are tracked in bench_results/), and a
+#      perf numbers themselves are tracked in bench_results/) and
+#      gated against a second smoke run with tools/bench_compare.py
+#      --require-identical on its behavioural fields, and a
 #      profiler-overhead guard: a disabled ScopedPhase must be far
 #      cheaper than an enabled one (the ≤1% hot-loop contract),
 #   5. an observability smoke: a parallel sweep with --trace-out whose
@@ -85,7 +88,7 @@ echo "== tsan: race-checked test run =="
 # Death tests (fork under TSAN) are excluded by the preset filter.
 ctest --preset tsan
 
-echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll) =="
+echo "== asan: configure + build (test_sim_determinism, test_sim, test_flow, test_coll) =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 
@@ -116,8 +119,19 @@ build-release/bench/bench_simcore --smoke \
 python3 -m json.tool "$BENCH_TMP/BENCH_simcore_smoke.json" > /dev/null
 python3 -m json.tool \
     "$BENCH_TMP/BENCH_simcore_smoke.json.manifest.json" > /dev/null
-rm -rf "$BENCH_TMP"
 echo "bench smoke JSON + manifest parse"
+
+echo "== simcore bench: deterministic against itself =="
+# Same contract as coll and dcn below: a second smoke run must agree
+# on every identity field (flits delivered, end cycle, stability).
+# Smoke points last milliseconds, so the Mflit/s metric is noise and
+# only identity gates here (--max-regress 100 never trips).
+build-release/bench/bench_simcore --smoke \
+    --json "$BENCH_TMP/BENCH_simcore_smoke_b.json"
+python3 tools/bench_compare.py "$BENCH_TMP/BENCH_simcore_smoke.json" \
+    "$BENCH_TMP/BENCH_simcore_smoke_b.json" --require-identical \
+    --max-regress 100
+rm -rf "$BENCH_TMP"
 
 echo "== release: profiler-overhead guard =="
 # The null-handle contract: a ScopedPhase on a null profiler must be
