@@ -48,12 +48,9 @@ struct ActiveFlow
     double latency_s = 0.0;
     std::int64_t src = 0;
     std::int64_t dst = 0;
-    /// Directional resources: src NIC tx, trunk directions, dst NIC
-    /// rx.
-    std::vector<int> res;
-    std::vector<int> switches;
-    /// Undirected trunk ids (for fault matching).
-    std::vector<int> links;
+    /// Switches on the current path. The path itself is the flow's
+    /// resource list in the waterfill, in the same slot.
+    std::size_t hops = 0;
 };
 
 } // namespace
@@ -221,6 +218,19 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
             cap[static_cast<std::size_t>(host_res) + 2 * l + 1] =
                 topo.links()[l].gbps * 1e9 / 8.0 * sat;
 
+    // Per resource, the switch a flow enters through it: a source
+    // NIC's tx feeds its edge switch, a trunk direction its far end
+    // (bit 0 of a directed link set means b->a); -1 for a NIC's rx.
+    std::vector<int> entered_switch(n_res, -1);
+    for (std::int64_t h = 0; h < hosts; ++h)
+        entered_switch[static_cast<std::size_t>(2 * h)] = topo.edgeOf(h);
+    for (std::size_t l = 0; l < topo.links().size(); ++l) {
+        entered_switch[static_cast<std::size_t>(host_res) + 2 * l] =
+            topo.links()[l].b;
+        entered_switch[static_cast<std::size_t>(host_res) + 2 * l + 1] =
+            topo.links()[l].a;
+    }
+
     // --- instruments ---------------------------------------------
     obs::Counter c_started, c_completed, c_failed, c_rerouted, c_fault;
     obs::Histogram h_slowdown;
@@ -270,10 +280,13 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     };
 
     // --- engine state --------------------------------------------
+    // active[i] and the waterfill's slot i are the same flow: both
+    // append on arrival and swap-with-last on completion or failure.
     std::vector<ActiveFlow> active;
     Waterfill waterfill(std::move(cap));
     std::vector<double> sw_rate(
         static_cast<std::size_t>(topo.switchCount()), 0.0);
+    bool sw_rate_stale = false;
 
     const auto sorted_faults = faults.sorted();
     std::size_t i_arr = 0;
@@ -283,35 +296,60 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     double now = 0.0;
     double last_completion = 0.0;
     double completed_bytes = 0.0;
-    DcnPath path; // route() scratch
+    DcnPath path;         // route() scratch
+    std::vector<int> res; // buildResources() scratch
 
-    const auto buildResources = [&](const DcnPath &p, ActiveFlow &f) {
-        f.switches = p.switches;
-        f.links.clear();
-        f.res.clear();
-        f.res.push_back(static_cast<int>(2 * f.src));
-        for (int dl : p.directed_links) {
-            f.links.push_back(dl >> 1);
-            f.res.push_back(host_res + dl);
-        }
-        f.res.push_back(static_cast<int>(2 * f.dst + 1));
+    // Directional resources of a path: src NIC tx, trunk directions,
+    // dst NIC rx.
+    const auto buildResources = [&](const DcnPath &p, std::int64_t src,
+                                    std::int64_t dst)
+        -> const std::vector<int> & {
+        res.clear();
+        res.push_back(static_cast<int>(2 * src));
+        for (int dl : p.directed_links)
+            res.push_back(host_res + dl);
+        res.push_back(static_cast<int>(2 * dst + 1));
+        return res;
     };
 
-    // Max-min fair rates for the active set (flow/waterfill.hpp).
+    // The switches the flow in @p slot crosses, in path order: one per
+    // resource except the destination NIC.
+    const auto forEachSwitch = [&](std::size_t slot, auto &&fn) {
+        for (int r : waterfill.resources(slot)) {
+            const int sw = entered_switch[static_cast<std::size_t>(r)];
+            if (sw >= 0)
+                fn(sw);
+        }
+    };
+    // Undirected trunk ids of the flow in @p slot, in path order.
+    const auto forEachLink = [&](std::size_t slot, auto &&fn) {
+        for (int r : waterfill.resources(slot))
+            if (r >= host_res)
+                fn((r - host_res) >> 1);
+    };
+
+    // Max-min fair rates for the active set (flow/waterfill.hpp): the
+    // waterfill re-solves only what changed since its last solve.
     const auto recompute = [&]() {
         obs::ScopedPhase phase(cfg.profiler, "waterfill");
-        waterfill.clear();
-        for (const auto &f : active)
-            waterfill.addFlow(f.res);
         const std::vector<double> &rates = waterfill.solve();
         for (std::size_t f = 0; f < active.size(); ++f)
             active[f].rate = rates[f];
-        // Per-switch throughput feeding the latency lookups of the
-        // *next* arrivals.
+        sw_rate_stale = true;
+    };
+
+    // Per-switch throughput under the rates of the last recompute,
+    // feeding the latency lookups of the next arrivals. Summed only
+    // when an arrival batch needs it, before anything in that batch
+    // changes the active set, so the sums are the ones a sum right
+    // after the recompute would give.
+    const auto refreshSwitchRates = [&]() {
         std::fill(sw_rate.begin(), sw_rate.end(), 0.0);
-        for (const auto &f : active)
-            for (int sw : f.switches)
-                sw_rate[static_cast<std::size_t>(sw)] += f.rate;
+        for (std::size_t f = 0; f < active.size(); ++f)
+            forEachSwitch(f, [&](int sw) {
+                sw_rate[static_cast<std::size_t>(sw)] += active[f].rate;
+            });
+        sw_rate_stale = false;
     };
 
     // Approximate per-port offered load of one switch: its total
@@ -358,7 +396,7 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
 
     const auto completeFlow = [&](const ActiveFlow &f) {
         const double fct = (now - f.arrival_s) + f.latency_s;
-        recordCompletion(fct, idealSeconds(f.bytes, f.switches.size()),
+        recordCompletion(fct, idealSeconds(f.bytes, f.hops),
                          f.bytes, now);
         recordFlow(f.id, f.src, f.dst, f.bytes, fct, false);
     };
@@ -436,7 +474,8 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
                 // Attribute each flow's bytes to its trunks, split at
                 // window boundaries so per-window link totals are
                 // exact.
-                for (const auto &f : active) {
+                for (std::size_t slot = 0; slot < active.size(); ++slot) {
+                    const ActiveFlow &f = active[slot];
                     if (f.rate <= 0.0)
                         continue;
                     double a = now;
@@ -451,14 +490,18 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
                         // advance past `a` would loop forever.
                         if (b <= a)
                             b = t_next;
-                        for (int l : f.links)
-                            w.link_bytes[static_cast<std::size_t>(
-                                l)] += f.rate * (b - a);
+                        forEachLink(slot, [&](int l) {
+                            w.link_bytes[static_cast<std::size_t>(l)] +=
+                                f.rate * (b - a);
+                        });
                         a = b;
                     }
                 }
         }
         now = t_next;
+        if (sw_rate_stale && i_arr < flows.size() &&
+            flows[i_arr].arrival_s <= now)
+            refreshSwitchRates();
 
         bool membership_changed = false;
 
@@ -466,8 +509,9 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
         for (std::size_t i = 0; i < active.size();) {
             if (active[i].remaining <= kEpsBytes) {
                 completeFlow(active[i]);
-                active[i] = std::move(active.back());
+                active[i] = active.back();
                 active.pop_back();
+                waterfill.removeFlow(i);
                 membership_changed = true;
             } else {
                 ++i;
@@ -489,17 +533,12 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
             for (std::size_t i = 0; i < active.size();) {
                 auto &f = active[i];
                 bool broken = false;
-                for (int sw : f.switches)
-                    if (!topo.switchAlive(sw)) {
-                        broken = true;
-                        break;
-                    }
-                if (!broken)
-                    for (int l : f.links)
-                        if (!topo.linkAlive(l)) {
-                            broken = true;
-                            break;
-                        }
+                forEachSwitch(i, [&](int sw) {
+                    broken = broken || !topo.switchAlive(sw);
+                });
+                forEachLink(i, [&](int l) {
+                    broken = broken || !topo.linkAlive(l);
+                });
                 if (!broken) {
                     ++i;
                     continue;
@@ -508,7 +547,9 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
                 if (topo.route(f.src, f.dst, f.id, &path)) {
                     // Keep the start-time latency estimate; only the
                     // bandwidth path changes.
-                    buildResources(path, f);
+                    f.hops = path.switches.size();
+                    waterfill.rerouteFlow(i,
+                                          buildResources(path, f.src, f.dst));
                     ++rerouted;
                     c_rerouted.inc();
                     ++i;
@@ -519,8 +560,9 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
                         ++windowAt(now).failed;
                     recordFlow(f.id, f.src, f.dst, f.bytes,
                                now - f.arrival_s, true);
-                    active[i] = std::move(active.back());
+                    active[i] = active.back();
                     active.pop_back();
+                    waterfill.removeFlow(i);
                 }
             }
         }
@@ -560,23 +602,23 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
             f.bytes = f.remaining = a.bytes;
             f.src = a.src_host;
             f.dst = a.dst_host;
-            buildResources(path, f);
-            f.latency_s = pathLatency(f.switches);
-            hops_acc.add(static_cast<double>(f.switches.size()));
+            f.hops = path.switches.size();
+            f.latency_s = pathLatency(path.switches);
+            hops_acc.add(static_cast<double>(f.hops));
             if (a.bytes <= kEpsBytes) {
                 // Zero-byte flow (a bare header): pays the calibrated
                 // path latency but transfers nothing — complete now
                 // rather than burdening the waterfill with a
                 // zero-remaining flow.
                 recordCompletion((now - a.arrival_s) + f.latency_s,
-                                 idealSeconds(a.bytes,
-                                              f.switches.size()),
+                                 idealSeconds(a.bytes, f.hops),
                                  a.bytes, now);
                 recordFlow(a.id, a.src_host, a.dst_host, a.bytes,
                            (now - a.arrival_s) + f.latency_s, false);
                 continue;
             }
-            active.push_back(std::move(f));
+            active.push_back(f);
+            waterfill.addFlow(buildResources(path, f.src, f.dst));
             membership_changed = true;
         }
 

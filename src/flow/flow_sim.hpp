@@ -14,15 +14,24 @@
  * offered load when the flow starts. The DCN-scale FCT/slowdown
  * tails therefore inherit the single-switch fidelity of Figs. 21-24.
  *
- * Cost model. Every event batch that changes the active set re-solves
- * the rates of all active flows (flow::Waterfill). A solve over F
- * flows of path length L touching T resources costs
- * O(F·L·log T + T): a tournament tree over the resources' fair shares
- * yields each fill round's bottleneck without rescanning every
- * resource. The next-completion search stays an O(F) scan per batch.
- * Rates are bit-identical to the textbook linear-scan waterfill
- * (earliest-touched resource wins exact ties), so the tree changed
- * only host time, never a result.
+ * Cost model. One flow::Waterfill persists across the run and holds
+ * the active flows' paths in the same slots as the engine's flow
+ * array (append on arrival, swap-with-last on completion or failure,
+ * replace on reroute). Every event batch that changes the active set
+ * re-solves the rates, but the solver replays the unchanged rounds of
+ * its previous solve and re-solves only the resources the batch
+ * disturbed (flow/waterfill.hpp): on the 256-host conv-64
+ * websearch@0.7 cell a solve over ~225 flows replays ~112 rounds and
+ * dirties ~10 resources. What stays O(F) per batch is the
+ * next-completion scan, the remaining-bytes update and copying the
+ * rates out; the per-switch throughput the latency lookups read is
+ * summed (O(F·L)) only before a batch that has arrivals. Paths live
+ * in the solver's flat slot buffer and the routing scratch is
+ * reused, so flows cost no heap allocation of their own. Rates are
+ * bit-identical to the textbook linear-scan waterfill over the same
+ * slot order (earliest-touched resource wins exact ties), so the
+ * incremental solver changed only host time, never a result
+ * (FlowSim.GoldenResultsOnFatTreeCells pins the end-to-end bits).
  *
  * The engine is single-threaded and strictly deterministic: same
  * topology, profile, flow list and fault schedule — same statistics,

@@ -31,17 +31,16 @@ parentPath(const std::string &path)
                                       : path.substr(0, slash);
 }
 
-/// True when @p path is a direct child of @p parent ("" = root).
-bool
-isDirectChild(const std::string &path, const std::string &parent)
+/// Longest recorded proper prefix path of @p path ("" if none).
+std::string
+nearestRecordedAncestor(const std::map<std::string, PhaseStats> &phases,
+                        const std::string &path)
 {
-    if (parent.empty())
-        return path.find('/') == std::string::npos;
-    if (path.size() <= parent.size() + 1 ||
-        path.compare(0, parent.size(), parent) != 0 ||
-        path[parent.size()] != '/')
-        return false;
-    return path.find('/', parent.size() + 1) == std::string::npos;
+    for (std::string up = parentPath(path); !up.empty();
+         up = parentPath(up))
+        if (phases.count(up))
+            return up;
+    return {};
 }
 
 } // namespace
@@ -96,13 +95,16 @@ Profiler::selfSeconds(const std::string &path) const
     const auto it = phases_.find(path);
     if (it == phases_.end())
         return 0.0;
+    // The nearest recorded descendants, not only direct children:
+    // merge() files "calibrate/sweep/point" with no "calibrate/sweep"
+    // node, and that time is still inside "calibrate".
     double children = 0.0;
     const std::string prefix = path + "/";
     for (auto child = phases_.upper_bound(prefix);
          child != phases_.end() &&
          child->first.compare(0, prefix.size(), prefix) == 0;
          ++child) {
-        if (isDirectChild(child->first, path))
+        if (nearestRecordedAncestor(phases_, child->first) == path)
             children += child->second.seconds;
     }
     return it->second.seconds - children;

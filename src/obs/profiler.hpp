@@ -88,10 +88,14 @@ class Profiler
     /// Inclusive seconds of @p path (0 when never entered).
     double totalSeconds(const std::string &path) const;
 
-    /// Self time of @p path: inclusive minus the sum of its direct
-    /// children. Concurrent merged children can push this below zero
-    /// (their inclusive times overlap the parent's single wall
-    /// clock); the summary clamps at zero and says so.
+    /// Self time of @p path: inclusive minus the sum of its nearest
+    /// recorded descendants (a merged "a/sweep/point" with no
+    /// "a/sweep" node counts against "a"). Self times therefore
+    /// partition the totals: summed over every path they equal the
+    /// summed totals of the paths with no recorded ancestor.
+    /// Concurrent merged children can push this below zero (their
+    /// inclusive times overlap the parent's single wall clock); the
+    /// summary clamps at zero.
     double selfSeconds(const std::string &path) const;
 
     /**

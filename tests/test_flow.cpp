@@ -599,6 +599,114 @@ TEST(FlowSim, FctMaxTracksTheSlowestFlow)
     EXPECT_GE(r.fct_max_s, 8e5 / (200.0 * 1e9 / 8.0));
 }
 
+/// Every FlowSimResult column of one run, as exact values.
+struct GoldenRow
+{
+    const char *cell;
+    std::int64_t started, completed, failed, rerouted, fault_events;
+    double duration_s, completed_bytes, throughput_gbps;
+    double fct_avg_s, fct_max_s, fct_p50_s, fct_p99_s, fct_p999_s;
+    double slowdown_avg, slowdown_p50, slowdown_p99, slowdown_p999;
+    double avg_hops;
+};
+
+void
+expectGolden(const FlowSimResult &r, const GoldenRow &g)
+{
+    SCOPED_TRACE(g.cell);
+    EXPECT_EQ(r.started, g.started);
+    EXPECT_EQ(r.completed, g.completed);
+    EXPECT_EQ(r.failed, g.failed);
+    EXPECT_EQ(r.rerouted, g.rerouted);
+    EXPECT_EQ(r.fault_events, g.fault_events);
+    EXPECT_EQ(r.duration_s, g.duration_s);
+    EXPECT_EQ(r.completed_bytes, g.completed_bytes);
+    EXPECT_EQ(r.throughput_gbps, g.throughput_gbps);
+    EXPECT_EQ(r.fct_avg_s, g.fct_avg_s);
+    EXPECT_EQ(r.fct_max_s, g.fct_max_s);
+    EXPECT_EQ(r.fct_p50_s, g.fct_p50_s);
+    EXPECT_EQ(r.fct_p99_s, g.fct_p99_s);
+    EXPECT_EQ(r.fct_p999_s, g.fct_p999_s);
+    EXPECT_EQ(r.slowdown_avg, g.slowdown_avg);
+    EXPECT_EQ(r.slowdown_p50, g.slowdown_p50);
+    EXPECT_EQ(r.slowdown_p99, g.slowdown_p99);
+    EXPECT_EQ(r.slowdown_p999, g.slowdown_p999);
+    EXPECT_EQ(r.avg_hops, g.avg_hops);
+}
+
+TEST(FlowSim, GoldenResultsOnFatTreeCells)
+{
+    // The engine's end-to-end bits, pinned: any change to the
+    // waterfill, the event loop or the latency lookups that moves a
+    // single result bit fails here. 256 hosts on a conv-64 leaf-spine
+    // (shared trunks) and on a single 512-port wafer (NICs only), at
+    // websearch@0.7 and hadoop@0.3, plus a conv-64 run whose spine
+    // dies mid-run. Recorded with the per-event global re-solve, before
+    // the solver became incremental.
+    static const GoldenRow kGolden[] = {
+        {"conv-64 websearch@0.7",
+         1500, 1500, 0, 0, 0,
+         0x1.89e29fe1f54ecp-9, 0x1.1b858c7bb6d41p+31, 0x1.8bb7f0f1642a9p+12,
+         0x1.d3341f3c11168p-14, 0x1.74d5c12c86099p-9, 0x1.073c311738a1bp-18,
+         0x1.9de2dd48534d9p-10, 0x1.647c7c06b2506p-9, 0x1.f23c208d7d27fp+0,
+         0x1.f55e34a191fdp+0, 0x1.1089d2c99fcp+2, 0x1.5bdbfff6e12bp+2,
+         0x1.6508dfea2798p+1},
+        {"conv-64 hadoop@0.3",
+         1500, 1500, 0, 0, 0,
+         0x1.2a4b0bf3719dfp-9, 0x1.ddc842dc46d16p+29, 0x1.b847104c4add5p+11,
+         0x1.13eea0b0dacf7p-15, 0x1.03f54d80bc063p-9, 0x1.211e8c34b95dep-23,
+         0x1.130b084d0fb67p-10, 0x1.ef9cdc3efaad9p-10, 0x1.3d9fe4d99197dp+0,
+         0x1.27a6f19bfe219p+0, 0x1.328667333497p+1, 0x1.c5c95f4429716p+1,
+         0x1.6508dfea2798p+1},
+        {"ws-512 websearch@0.7",
+         1500, 1500, 0, 0, 0,
+         0x1.89e29fe1f54ecp-9, 0x1.1b858c7bb6d41p+31, 0x1.8bb7f0f1642a9p+12,
+         0x1.d2cc507242d68p-14, 0x1.74d59dec2ad88p-9, 0x1.ff17f67ac1457p-19,
+         0x1.9ddb88bbc43e6p-10, 0x1.6478a6399c7a3p-9, 0x1.f36dd15262cfep+0,
+         0x1.fb473243779f7p+0, 0x1.173c0e2d72bc2p+2, 0x1.5ca6592e9cdc8p+2,
+         0x1p+0},
+        {"ws-512 hadoop@0.3",
+         1500, 1500, 0, 0, 0,
+         0x1.2a4b0bf3719dfp-9, 0x1.ddc842dc46d16p+29, 0x1.b847104c4add5p+11,
+         0x1.135cbaf74f3bfp-15, 0x1.03f2d6d9f1d1ap-9, 0x1.0182aba4fd6a4p-24,
+         0x1.1305cbd77b7b3p-10, 0x1.ef973423f947cp-10, 0x1.354a2d603269p+0,
+         0x1.1489ec82157eep+0, 0x1.38f54c3eee435p+1, 0x1.c5f083b0b92e1p+1,
+         0x1p+0},
+        {"conv-64 websearch@0.7 spine killed",
+         1500, 1500, 0, 30, 1,
+         0x1.89e29fe1f54efp-9, 0x1.1b858c7bb6d4p+31, 0x1.8bb7f0f1642a4p+12,
+         0x1.d3b2146b79c1p-14, 0x1.74d5c12c8609cp-9, 0x1.073fc8484d3f5p-18,
+         0x1.9de2dd48534dbp-10, 0x1.647c7c06b2509p-9, 0x1.f44246716ebdcp+0,
+         0x1.fa41e8e77d3ddp+0, 0x1.108b23b047a95p+2, 0x1.5bdee51ed7bb4p+2,
+         0x1.6508dfea2798p+1},
+    };
+    const auto run = [](int radix, const char *workload, double load,
+                        bool kill_spine) {
+        DcnTopology topo = DcnTopology::buildFatTree(256, radix, 200.0);
+        DcnWorkloadSpec spec = workloadByName(workload);
+        spec.flow_count = 1500;
+        spec.load = load;
+        const auto flows = generateFlows(spec, 256, 200.0, 11);
+        fault::DcnFaultSchedule faults;
+        if (kill_spine) {
+            std::set<int> edges;
+            for (std::int64_t h = 0; h < topo.hostCount(); ++h)
+                edges.insert(topo.edgeOf(h));
+            int spine = 0;
+            while (edges.count(spine))
+                ++spine;
+            faults.killSwitch(flows[flows.size() / 2].arrival_s, spine);
+        }
+        return simulateFlows(topo, testProfile("t", radix), flows, faults);
+    };
+    const FlowSimResult got[] = {
+        run(64, "websearch", 0.7, false), run(64, "hadoop", 0.3, false),
+        run(512, "websearch", 0.7, false), run(512, "hadoop", 0.3, false),
+        run(64, "websearch", 0.7, true)};
+    for (std::size_t i = 0; i < std::size(got); ++i)
+        expectGolden(got[i], kGolden[i]);
+}
+
 // --- Waterfill -------------------------------------------------------
 
 /// The textbook progressive waterfill: rescan every touched resource
@@ -782,6 +890,94 @@ TEST(FlowWaterfill, MatchesLinearScanBitwiseOnTieHeavyInstances)
     EXPECT_GT(stats.tied * 10, stats.rounds)
         << stats.tied << " of " << stats.rounds << " rounds tied";
     EXPECT_GT(flows_checked, 15000u);
+}
+
+TEST(FlowWaterfill, IncrementalMatchesLinearScanBitwiseOverEventSequences)
+{
+    // One persistent solver per instance driven through event batches
+    // as simulateFlows issues them: arrivals, swap-with-last removals
+    // (several in one batch, as same-instant completions are) and
+    // reroutes that replace a flow's resources. After every solve the
+    // rates must match the linear scan over the same slot order bit
+    // for bit, whatever the solver replayed from its previous solve.
+    FillRounds stats;
+    std::size_t events = 0, solves = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed * 7919);
+        const int hosts = static_cast<int>(rng.nextInRange(4, 40));
+        const int trunks = static_cast<int>(rng.nextInRange(2, 12));
+        const int host_res = 2 * hosts;
+        std::vector<double> cap(
+            static_cast<std::size_t>(host_res + 2 * trunks));
+        for (std::size_t r = 0; r < cap.size(); ++r)
+            cap[r] = seed % 3 == 0   ? 25e9
+                     : seed % 3 == 1 ? 1e9 * static_cast<double>(
+                                                 1u << rng.nextBelow(3))
+                                     : (0.5 + rng.nextDouble()) * 1e9;
+        const auto randomPath = [&]() {
+            std::vector<int> res;
+            res.push_back(static_cast<int>(
+                2 * rng.nextBelow(static_cast<std::uint64_t>(hosts))));
+            const auto hops = rng.nextBelow(4);
+            for (std::uint64_t h = 0; h < hops; ++h)
+                res.push_back(host_res +
+                              static_cast<int>(rng.nextBelow(
+                                  static_cast<std::uint64_t>(2 * trunks))));
+            res.push_back(static_cast<int>(
+                2 * rng.nextBelow(static_cast<std::uint64_t>(hosts)) + 1));
+            return res;
+        };
+
+        Waterfill wf(cap);
+        std::vector<std::vector<int>> flows;
+        const auto target = static_cast<std::size_t>(
+            rng.nextInRange(4, 3 * hosts / 2 + 4));
+        for (int batch = 0; batch < 700; ++batch) {
+            // Mostly single events, sometimes a same-instant burst.
+            const auto size = rng.nextBool(0.15) ? rng.nextInRange(2, 6) : 1;
+            for (std::int64_t e = 0; e < size; ++e, ++events) {
+                const double pick = rng.nextDouble();
+                const bool grow = flows.size() < target;
+                if (flows.empty() || (grow ? pick < 0.6 : pick < 0.35)) {
+                    flows.push_back(randomPath());
+                    wf.addFlow(flows.back());
+                } else if (pick < 0.85) {
+                    const auto slot = static_cast<std::size_t>(
+                        rng.nextBelow(flows.size()));
+                    flows[slot] = std::move(flows.back());
+                    flows.pop_back();
+                    wf.removeFlow(slot);
+                } else {
+                    const auto slot = static_cast<std::size_t>(
+                        rng.nextBelow(flows.size()));
+                    flows[slot] = randomPath();
+                    wf.rerouteFlow(slot, flows[slot]);
+                }
+            }
+            ASSERT_EQ(wf.flowCount(), flows.size());
+            expectBitIdentical(wf.solve(),
+                               linearScanWaterfill(cap, flows, &stats),
+                               "seed " + std::to_string(seed) +
+                                   " batch " + std::to_string(batch));
+            ++solves;
+        }
+        for (std::size_t slot = 0; slot < flows.size(); ++slot) {
+            const auto res = wf.resources(slot);
+            EXPECT_EQ(std::vector<int>(res.begin(), res.end()), flows[slot]);
+        }
+    }
+    EXPECT_GT(stats.tied * 10, stats.rounds)
+        << stats.tied << " of " << stats.rounds << " rounds tied";
+    EXPECT_GE(events, 50000u);
+    EXPECT_EQ(solves, 60u * 700u);
+}
+
+TEST(FlowWaterfill, SlotOutsideTheInstanceDiesLoudly)
+{
+    Waterfill wf({1.0, 2.0});
+    wf.addFlow({0, 1});
+    EXPECT_DEATH(wf.removeFlow(1), "slot 1 outside");
+    EXPECT_DEATH(wf.rerouteFlow(3, {0}), "slot 3 outside");
 }
 
 TEST(FlowWaterfill, FlowWithoutResourcesDiesLoudly)

@@ -938,6 +938,59 @@ TEST(Profiler, SelfTimeSubtractsDirectChildrenOnly)
     EXPECT_DOUBLE_EQ(p.totalSeconds("absent"), 0.0);
 }
 
+TEST(Profiler, SelfTimesPartitionRootTotal)
+{
+    // A run shaped like `wss dcn --profile`: "calibrate" merges its
+    // sweep workers under "sweep" while open (no "calibrate/sweep"
+    // node is ever entered), a campaign merges its cells under a
+    // prefix with nothing open, and the flow engine nests directly.
+    Profiler point_worker, cell_worker;
+    for (int i = 0; i < 3; ++i) {
+        ScopedPhase s(&point_worker, "point");
+        spinFor(1e-4);
+    }
+    {
+        ScopedPhase cell(&cell_worker, "cell");
+        ScopedPhase sim(&cell_worker, "flow-sim");
+        spinFor(1e-4);
+        ScopedPhase wf(&cell_worker, "waterfill");
+        spinFor(1e-4);
+    }
+    Profiler p;
+    {
+        ScopedPhase calibrate(&p, "calibrate");
+        spinFor(1e-4);
+        p.merge(point_worker, "sweep");
+    }
+    p.merge(cell_worker, "campaign");
+    ASSERT_EQ(p.phases().count("calibrate/sweep"), 0u);
+    ASSERT_EQ(p.phases().count("calibrate/sweep/point"), 1u);
+
+    // "calibrate" no longer double-counts its merged points.
+    EXPECT_DOUBLE_EQ(p.selfSeconds("calibrate"),
+                     p.totalSeconds("calibrate") -
+                         p.totalSeconds("calibrate/sweep/point"));
+
+    // Roots: paths with no recorded ancestor ("calibrate" and the
+    // prefix-rooted "campaign/cell").
+    double self_sum = 0.0, root_sum = 0.0;
+    for (const auto &[path, stats] : p.phases()) {
+        self_sum += p.selfSeconds(path);
+        bool root = true;
+        for (std::size_t slash = path.find('/');
+             slash != std::string::npos;
+             slash = path.find('/', slash + 1))
+            root = root && p.phases().count(path.substr(0, slash)) == 0;
+        if (root)
+            root_sum += stats.seconds;
+    }
+    EXPECT_NEAR(self_sum, root_sum, 1e-12 * root_sum);
+    EXPECT_NEAR(root_sum,
+                p.totalSeconds("calibrate") +
+                    p.totalSeconds("campaign/cell"),
+                1e-12 * root_sum);
+}
+
 TEST(Profiler, MergeSumsPathsAndReRootsUnderPrefix)
 {
     // Two workers each profile the same phase; the owner folds them
