@@ -327,29 +327,54 @@ TEST(Logging, WarnOnceFiresExactlyOnceAcrossThreads)
 
 TEST(ParsePositiveInt, AcceptsPlainPositiveDecimals)
 {
-    EXPECT_EQ(util::parsePositiveInt("1", "--x"), 1);
-    EXPECT_EQ(util::parsePositiveInt("64", "--x"), 64);
-    EXPECT_EQ(util::parsePositiveInt("4096", "--x", 4096), 4096);
-    EXPECT_EQ(util::parsePositiveInt("007", "--x"), 7);
+    EXPECT_EQ(util::parseInt("1", "--x"), 1);
+    EXPECT_EQ(util::parseInt("64", "--x"), 64);
+    EXPECT_EQ(util::parseInt("4096", "--x", 1, 4096), 4096);
+    EXPECT_EQ(util::parseInt("007", "--x"), 7);
+    // A range that admits them takes zero and negatives.
+    EXPECT_EQ(util::parseInt("0", "--x", 0, 10), 0);
+    EXPECT_EQ(util::parseInt("-1", "--kill-step", -1, 10), -1);
+    // The finite-double parser: whole-string decimals and exponents.
+    EXPECT_EQ(util::parseDouble("0.3", "--x", 0.0, 1.0), 0.3);
+    EXPECT_EQ(util::parseDouble("7e9", "--x", 1.0, 1e15), 7e9);
+    EXPECT_EQ(util::parseDouble("-.5", "--x", -1.0, 1.0), -0.5);
+    EXPECT_EQ(util::parseDouble("1", "--x", 1.0, 1.0), 1.0);
 }
 
 TEST(ParsePositiveInt, RejectsEverythingElseLoudly)
 {
     // The WSS_JOBS contract, but fatal: an explicit CLI value that
     // does not parse must abort, not silently run with a default.
-    EXPECT_DEATH(util::parsePositiveInt("0", "--seed"),
+    EXPECT_DEATH(util::parseInt("0", "--seed"),
                  "--seed='0' is not a positive integer");
-    EXPECT_DEATH(util::parsePositiveInt("-3", "--seed"), "--seed");
-    EXPECT_DEATH(util::parsePositiveInt("8x", "--ranks"),
-                 "--ranks='8x'");
-    EXPECT_DEATH(util::parsePositiveInt("", "--ranks"), "--ranks");
-    EXPECT_DEATH(util::parsePositiveInt(" 4", "--x"), "--x");
-    EXPECT_DEATH(util::parsePositiveInt("+4", "--x"), "--x");
-    EXPECT_DEATH(util::parsePositiveInt("4.5", "--x"), "--x");
-    EXPECT_DEATH(util::parsePositiveInt("4097", "--jobs", 4096),
-                 "--jobs");
-    EXPECT_DEATH(util::parsePositiveInt("99999999999999999999", "--x"),
-                 "--x");
+    EXPECT_DEATH(util::parseInt("-3", "--seed"), "--seed");
+    EXPECT_DEATH(util::parseInt("8x", "--ranks"), "--ranks='8x'");
+    EXPECT_DEATH(util::parseInt("", "--ranks"), "--ranks");
+    EXPECT_DEATH(util::parseInt(" 4", "--x"), "--x");
+    EXPECT_DEATH(util::parseInt("+4", "--x"), "--x");
+    EXPECT_DEATH(util::parseInt("4.5", "--x"), "--x");
+    EXPECT_DEATH(util::parseInt("4097", "--jobs", 1, 4096), "--jobs");
+    EXPECT_DEATH(util::parseInt("99999999999999999999", "--x"), "--x");
+    // Signed ranges stay strict.
+    EXPECT_DEATH(util::parseInt("-", "--x", -5, 5), "--x='-'");
+    EXPECT_DEATH(util::parseInt("-6", "--x", -5, 5),
+                 "--x='-6' is not an integer \\(-5..5\\)");
+    EXPECT_DEATH(util::parseInt("--1", "--x", -5, 5), "--x");
+    // Doubles: trailing junk, non-finite, empty, whitespace, signs
+    // strtod would skip, and out-of-range values all name the flag
+    // and echo the text.
+    EXPECT_DEATH(util::parseDouble("300xyz", "--substrate", 1.0, 1e3),
+                 "--substrate='300xyz' is not a finite number");
+    EXPECT_DEATH(util::parseDouble("0.1xyz", "--x", 0.0, 1.0), "--x");
+    EXPECT_DEATH(util::parseDouble("nan", "--max-rate", 0.0, 1.0),
+                 "--max-rate='nan'");
+    EXPECT_DEATH(util::parseDouble("inf", "--x", 0.0, 1e300), "--x");
+    EXPECT_DEATH(util::parseDouble("1e999", "--x", 0.0, 1e300), "--x");
+    EXPECT_DEATH(util::parseDouble("", "--x", 0.0, 1.0), "--x");
+    EXPECT_DEATH(util::parseDouble(" 1", "--x", 0.0, 2.0), "--x");
+    EXPECT_DEATH(util::parseDouble("+1", "--x", 0.0, 2.0), "--x");
+    EXPECT_DEATH(util::parseDouble("1.5", "--x", 0.0, 1.0),
+                 "--x='1.5' is not a finite number \\(0..1\\)");
 }
 
 } // namespace

@@ -15,7 +15,8 @@
 #      work die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
 #      under ASan (the reporter parses untrusted CSV/JSON, so its
-#      string handling runs heap-checked),
+#      string handling runs heap-checked), and the strict flag
+#      parser's failure and --help smokes under ASan,
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
 #      perf numbers themselves are tracked in bench_results/) and
@@ -109,6 +110,12 @@ build-asan/tools/wss report --manifest "$ASAN_TMP/coll.manifest.json" \
 python3 -m json.tool "$ASAN_TMP/report.json" > /dev/null
 rm -rf "$ASAN_TMP"
 echo "asan report pipeline green"
+
+echo "== asan: strict flag parsing and generated help =="
+# The flag-table parser handles untrusted argv, so its failure and
+# --help smokes run heap-checked too.
+ctest --test-dir build-asan --output-on-failure -R \
+    '^smoke_cli_((coll_)?bad_|unknown_flag|nonfinite|missing_value|switch_value|help_)'
 
 echo "== release: bench_simcore smoke =="
 cmake --preset release

@@ -2,30 +2,16 @@
  * @file
  * `wss` — command-line front end to the waferscale-switch models.
  *
- * Subcommands:
- *   solve       size the maximum-radix switch for a design point
- *   sim         latency-vs-load sweep on a waferscale Clos fabric
- *   sweep       parallel multi-pattern sweep campaign (--jobs N)
- *   trace       generate (and save) a synthetic mini-app message trace
- *   yield       manufacturing-yield analysis for a chiplet assembly
- *   resilience  Monte-Carlo defect/spare/degraded-mode campaign
- *   dcn         flow-level multi-switch DCN comparison (waferscale
- *               vs conventional), calibrated from the fabric sim
- *   coll        collective-communication comparison (allreduce /
- *               all-to-all schedules priced on waferscale vs
- *               conventional, cross-checked against alpha-beta)
- *   report      render one run's provenance manifest + telemetry
- *               artifacts as Markdown (+ JSON) with health checks
- *   plan        full system plan (power delivery / cooling / enclosure)
- *
- * Run `wss <subcommand> --help` for the flags of each.
+ * Every subcommand declares its flags as one table (tools/flags.hpp)
+ * built from the shared groups below; `wss --help` lists the
+ * subcommands and `wss <subcommand> --help` prints its flags.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -37,6 +23,7 @@
 #include "core/radix_solver.hpp"
 #include "exec/campaign.hpp"
 #include "fault/resilience.hpp"
+#include "flags.hpp"
 #include "flow/dcn_campaign.hpp"
 #include "obs/crash_dump.hpp"
 #include "obs/flight_recorder.hpp"
@@ -62,307 +49,277 @@
 namespace {
 
 using namespace wss;
+using cli::Command;
+using cli::Group;
+using cli::Opts;
+using enum cli::Type;
 
-/// Minimal --key value / --flag parser.
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0)
-                fatal("unexpected argument '", key,
-                      "' (flags look like --key value)");
-            key = key.substr(2);
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                values_[key] = argv[++i];
-            else
-                values_[key] = "";
-        }
-    }
+const cli::Flag kSeed = {"seed", Int, "base seed", "1", 1, 0x1p63};
+const cli::Flag kJobs = {"jobs", Int, "worker threads (default: WSS_JOBS or "
+                         "the hardware threads)", "", 1, 4096};
 
-    bool has(const std::string &key) const
-    {
-        return values_.count(key) > 0;
-    }
-
-    std::string
-    str(const std::string &key, const std::string &fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    double
-    num(const std::string &key, double fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
-    }
-
-    long long
-    integer(const std::string &key, long long fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoll(it->second);
-    }
-
-    /// Every flag as given, for provenance manifests.
-    const std::map<std::string, std::string> &
-    all() const
-    {
-        return values_;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
+/// The design point the radix solver sizes.
+const Group kDesign = {
+    {"substrate", Real, "substrate side (mm)", "300", 1, 1000},
+    {"wsi", Choice, "waferscale integration", "siif2x", 0, 0,
+     {"siif", "siif2x", "infosow"}},
+    {"ext", Choice, "external I/O", "optical", 0, 0,
+     {"serdes", "optical", "area"}},
+    {"ssc-config", Int, "TH-5 as 256x200G, 128x400G, 64x800G", "1", 1, 3},
+    {"deradix", Int, "use the SSC at 1/N of its radix", "1", 1, 256},
+    {"cooling", Choice, "cooling envelope", "none", 0, 0,
+     {"air", "water", "multiphase", "none"}},
+    {"restarts", Int, "random restarts of the mapping search", "4", 1, 1000},
+    kSeed,
 };
 
-/// Artifact bookkeeping for --manifest-out: each file a subcommand
-/// writes is noted (path, kind) so the manifest inventory covers
-/// everything the run produced.
-struct ArtifactLog
-{
-    std::vector<std::pair<std::string, std::string>> entries;
-
-    void
-    note(const std::string &path, const std::string &kind)
-    {
-        entries.emplace_back(path, kind);
-    }
+/// Design-space flags only `solve` and `plan` read.
+const Group kSolve = {
+    {"hetero", Int, "split each Clos leaf into N dies", "1", 1, 64},
+    {"topology", Choice, "internal topology", "clos", 0, 0,
+     {"clos", "mesh", "butterfly", "fb", "dragonfly"}},
+    {"ideal", Switch, "area-only bound: no bandwidth or power limits"},
 };
 
-/// True for flags that only say *where* outputs go: they are not
-/// part of a run's identity (the same run pointed at a different
-/// directory must hash identically).
-bool
-isOutputPathFlag(const std::string &key)
-{
-    return key == "csv" || key == "json" || key == "out" ||
-           key == "profiles" || key == "crash-dump" ||
-           (key.size() > 4 &&
-            key.compare(key.size() - 4, 4, "-out") == 0);
-}
+/// The cycle-accurate fabric and its run phases.
+const Group kFabric = {
+    {"vcs", Int, "virtual channels per router port", "16", 1, 32767},
+    {"buffer", Int, "input buffer per router port (flits)", "64", 1, 1e6},
+    {"rc-ingress", Int, "RC delay at terminal inputs (cycles)", "2", 0, 1e3},
+    {"rc-transit", Int, "RC delay at transit inputs (cycles)", "2", 0, 1e3},
+    {"pipeline", Int, "VA/SA/ST pipeline depth (cycles)", "9", 1, 1e3},
+    {"io-delay", Int, "terminal link latency (cycles)", "8", 1, 1e3},
+    {"hop-delay", Int, "router-to-router link latency (cycles)", "1", 1, 1e3},
+    {"adaptive", Switch, "credit-adaptive ECMP instead of oblivious"},
+    {"warmup", Int, "cycles before measurement", "1000", 0, 1e9},
+    {"measure", Int, "measurement window (cycles)", "4000", 1, 1e9},
+    {"drain", Int, "cycles to drain measured packets", "20000", 0, 1e9},
+    kSeed,
+};
 
-/// Write the provenance manifest of one subcommand invocation:
-/// every non-output CLI flag verbatim (arg.<key>), the resolved
-/// seed and worker count, the artifact inventory, and the
-/// profiler's phase timings.
-void
-writeManifest(const Args &args, const std::string &tool,
-              std::uint64_t seed, int jobs,
-              const ArtifactLog &artifacts,
-              const obs::Profiler &profiler)
-{
-    const std::string path = args.str("manifest-out", "");
-    if (path.empty())
-        fatal(tool, ": --manifest-out needs a file path");
-    obs::RunManifest manifest(tool);
-    for (const auto &[key, value] : args.all())
-        if (!isOutputPathFlag(key))
-            manifest.setConfig("arg." + key, value);
-    manifest.setSeed(seed);
-    manifest.setJobs(jobs);
-    for (const auto &[artifact_path, kind] : artifacts.entries)
-        manifest.addArtifact(artifact_path, kind);
-    manifest.setProfile(profiler);
-    manifest.writeJsonFile(path);
-    std::ostringstream identity;
-    identity << std::hex << manifest.identityHash();
-    std::cout << "manifest written to " << path << " (identity 0x"
-              << identity.str() << ", " << artifacts.entries.size()
-              << " artifacts)\n";
-}
+/// The offered loads of a load sweep.
+const Group kRates = {
+    {"points", Int, "load points per sweep", "9", 1, 1000},
+    {"max-rate", Real, "highest offered load", "0.9", 0.001, 1},
+    {"min-rate", Real, "lowest load of a geometric sweep", "0.05", 0.001, 1},
+};
+const cli::Flag kGeometric = {"geometric", Switch,
+                              "geometric rates (default: linear)"};
 
-/// Shared tail of every profiled subcommand: print the self-time
-/// table with --profile, and lay the aggregate out as spans on its
-/// own trace track when tracing.
-void
-finishProfile(const Args &args, obs::Profiler &profiler,
-              obs::TraceEventSink *trace)
+/// Observability. It is passive: results are bit-identical with any
+/// of it on or off (asserted by test_obs).
+const Group kObs = {
+    {"flight-recorder", Switch, "per-thread flight-recorder rings"},
+    {"crash-dump", Path, "post-mortem of a crash (`wss report --crash`)"},
+    {"watchdog", Real, "abort after a heartbeat stall (s)", "", 0.001, 1e6},
+    {"progress", Switch, "live status line on stderr"},
+    {"profile", Switch, "print the phase self-time table"},
+    {"manifest-out", Path, "provenance manifest (for `wss report`)"},
+};
+
+/// Where a campaign's results go.
+const Group kOutputs = {
+    {"csv", Path, "results as CSV (identical at any --jobs)"},
+    {"json", Path, "results and timings as JSON"},
+    {"trace-out", Path, "Chrome-trace timeline (Perfetto-loadable)"},
+};
+
+/// The waferscale-vs-conventional pair `dcn` and `coll` compare.
+const Group kPair = {
+    {"ws-ports", Int, "waferscale radix (0 = solver-sized)", "0", 0, 1e8},
+    {"conv-ports", Int, "conventional switch radix", "64", 1, 1e6},
+    {"conv-ssc-radix", Int, "chiplet radix of the baseline", "32", 2, 4096},
+    {"cal-ports", Int, "cap on the calibration fabric", "512", 1, 1e6},
+    {"profiles", Path, "profile cache dir, keyed on calibration inputs"},
+    {"calibrate", Switch, "recalibrate even with a cached profile"},
+    {"packet-flits", Int, "flits per calibration packet", "4", 1, 1024},
+    {"dcn-topology", Choice, "multi-switch network", "fat-tree", 0, 0,
+     {"fat-tree", "dragonfly"}},
+};
+
+/// Flight-recorder ring capacity per thread (events).
+constexpr std::size_t kFlightRecorderEvents = 4096;
+
+int
+jobsOf(const Opts &opts)
 {
-    if (args.has("profile"))
-        profiler.writeSummary(std::cout);
-    if (trace && !profiler.phases().empty())
-        profiler.addToTrace(*trace, trace->allocateTrack("profile"));
+    return opts.has("jobs") ? opts.integer<int>("jobs")
+                            : exec::ThreadPool::defaultThreads();
 }
 
 /**
- * RAII wiring for the observability flags shared by every
- * campaign-shaped subcommand (sim / sweep / resilience / dcn / coll):
+ * Observability and artifact plumbing of the campaign-shaped
+ * subcommands (sim, sweep, resilience, dcn, coll).
  *
- *   --flight-recorder [N]  per-thread flight-recorder rings
- *                          (N events/thread, default 4096)
- *   --crash-dump c.json    install crash handlers: panic(), fatal()
- *                          and fatal signals write a c.json
- *                          post-mortem (`wss report --crash c.json`)
- *   --watchdog SECONDS     monitor thread aborts — with a diagnostic
- *                          dump — when any active worker goes
- *                          SECONDS without a heartbeat
- *   --progress             live status line on stderr (jobs
- *                          done/total, ETA, per-worker design point)
- *
- * --crash-dump, --watchdog and --progress all imply the flight
- * recorder: their dumps and status lines read its rings. All of it
- * is passive — results are bit-identical with the recorder on or off
- * (asserted by test_obs).
+ * The constructor wires kObs: --crash-dump, --watchdog and
+ * --progress all imply the flight recorder, because their dumps and
+ * status lines read its rings. writeResults() and finish() are the
+ * shared output tail: --csv/--json, then the --profile table, the
+ * --trace-out timeline (with the profile on its own track) and the
+ * --manifest-out manifest over every noted artifact.
  */
-class ObsSession
+class Run
 {
   public:
-    ObsSession(const Args &args, const std::string &tool,
-               std::uint64_t seed, int jobs)
+    Run(const Opts &opts, const std::string &tool, std::uint64_t seed,
+        int jobs)
+        : opts_(opts), manifest_(tool), tracing_(opts.has("trace-out"))
     {
-        const bool wanted =
-            args.has("flight-recorder") || args.has("crash-dump") ||
-            args.has("watchdog") || args.has("progress");
-        if (!wanted)
+        // Provenance identity: every non-output flag verbatim
+        // (arg.<key>), the resolved seed and the worker count.
+        for (const auto &[key, value] : opts.identity())
+            manifest_.setConfig("arg." + key, value);
+        manifest_.setSeed(seed);
+        manifest_.setJobs(jobs);
+        if (tracing_)
+            trace_.setProcessName(tool);
+        if (!opts.has("flight-recorder") && !opts.has("crash-dump") &&
+            !opts.has("watchdog") && !opts.has("progress"))
             return;
-        std::size_t capacity = 4096;
-        if (!args.str("flight-recorder", "").empty())
-            capacity = static_cast<std::size_t>(util::parsePositiveInt(
-                args.str("flight-recorder", ""), "--flight-recorder"));
-        obs::FlightRecorder::enable(capacity);
+        obs::FlightRecorder::enable(kFlightRecorderEvents);
         obs::FlightRecorder::attachCurrentThread("main");
-
-        if (args.has("crash-dump")) {
-            const std::string path = args.str("crash-dump", "");
-            if (path.empty())
-                fatal(tool, ": --crash-dump needs a file path");
-            // The dump carries the *configuration* identity (flags +
-            // seed + jobs): a crashed run never wrote its manifest,
-            // so this hash is what links the post-mortem back to the
-            // design point that died.
-            obs::RunManifest identity(tool);
-            for (const auto &[key, value] : args.all())
-                if (!isOutputPathFlag(key))
-                    identity.setConfig("arg." + key, value);
-            identity.setSeed(seed);
-            identity.setJobs(jobs);
-            obs::CrashDump::install(path);
+        if (opts.has("crash-dump")) {
+            // A crashed run never writes its manifest, so the dump
+            // carries the configuration identity that links the
+            // post-mortem back to the design point that died.
+            obs::CrashDump::install(opts.text("crash-dump"));
             obs::CrashDump::setTool(tool);
-            obs::CrashDump::setIdentity(identity.identityHash());
+            obs::CrashDump::setIdentity(manifest_.identityHash());
         }
-
-        double timeout = 0.0;
-        if (args.has("watchdog")) {
-            const std::string value = args.str("watchdog", "");
-            if (value.empty())
-                fatal(tool,
-                      ": --watchdog needs a stall timeout in seconds");
-            timeout = std::stod(value);
-            if (timeout <= 0.0)
-                fatal(tool, ": --watchdog timeout must be positive");
-        }
-        const bool progress = args.has("progress");
-        if (timeout > 0.0 || progress) {
+        monitoring_ = opts.has("watchdog") || opts.has("progress");
+        if (monitoring_) {
             obs::Watchdog::enableHeartbeats();
             // Main mostly waits on workers; register it idle so a
             // long fan-out phase never reads as a main-thread stall.
             obs::Watchdog::registerCurrentThread("main");
             obs::Watchdog::markThreadIdle();
-            obs::Watchdog::start(timeout, progress);
-            monitoring_ = true;
+            obs::Watchdog::start(
+                opts.has("watchdog") ? opts.real("watchdog") : 0.0,
+                opts.has("progress"));
         }
     }
 
-    ~ObsSession()
+    ~Run()
     {
         if (monitoring_)
             obs::Watchdog::stop();
     }
 
-    ObsSession(const ObsSession &) = delete;
-    ObsSession &operator=(const ObsSession &) = delete;
+    Run(const Run &) = delete;
+    Run &operator=(const Run &) = delete;
+
+    /// The --trace-out sink; null when the run is not traced.
+    obs::TraceEventSink *trace() { return tracing_ ? &trace_ : nullptr; }
+
+    /// Inventory a file this run wrote for the manifest.
+    void note(const std::string &path, const std::string &kind)
+    {
+        if (opts_.has("manifest-out"))
+            manifest_.addArtifact(path, kind);
+    }
+
+    /// --csv / --json of a campaign result (kinds <kind>-csv/-json).
+    template <class Result>
+    void writeResults(const Result &result, const std::string &kind)
+    {
+        if (opts_.has("csv")) {
+            result.writeCsvFile(opts_.text("csv"));
+            note(opts_.text("csv"), kind + "-csv");
+            std::cout << "CSV written to " << opts_.text("csv") << "\n";
+        }
+        if (opts_.has("json")) {
+            result.writeJsonFile(opts_.text("json"));
+            note(opts_.text("json"), kind + "-json");
+            std::cout << "JSON written to " << opts_.text("json") << "\n";
+        }
+    }
+
+    void finish()
+    {
+        if (opts_.has("profile"))
+            profiler.writeSummary(std::cout);
+        if (tracing_) {
+            const std::string &path = opts_.text("trace-out");
+            if (!profiler.phases().empty())
+                profiler.addToTrace(trace_, trace_.allocateTrack("profile"));
+            trace_.writeFile(path);
+            note(path, "trace");
+            std::cout << "trace written to " << path << " ("
+                      << trace_.size()
+                      << " events; open in Perfetto / chrome://tracing)\n";
+        }
+        if (!opts_.has("manifest-out"))
+            return;
+        manifest_.setProfile(profiler);
+        manifest_.writeJsonFile(opts_.text("manifest-out"));
+        std::ostringstream identity;
+        identity << std::hex << manifest_.identityHash();
+        std::cout << "manifest written to " << opts_.text("manifest-out")
+                  << " (identity 0x" << identity.str() << ", "
+                  << manifest_.artifacts().size() << " artifacts)\n";
+    }
+
+    obs::Profiler profiler;
 
   private:
+    const Opts &opts_;
+    obs::RunManifest manifest_;
+    bool tracing_;
     bool monitoring_ = false;
+    obs::TraceEventSink trace_;
 };
 
-tech::WsiTechnology
-parseWsi(const std::string &name)
+/// Element @p i of @p items: maps a Choice flag's index to its value.
+template <class T>
+T
+pick(std::size_t i, std::initializer_list<T> items)
 {
-    if (name == "siif")
-        return tech::siIf();
-    if (name == "siif2x")
-        return tech::siIf2x();
-    if (name == "infosow")
-        return tech::infoSow();
-    fatal("unknown WSI technology '", name,
-          "' (siif | siif2x | infosow)");
+    return items.begin()[i];
 }
 
-tech::ExternalIoTech
-parseExternalIo(const std::string &name)
-{
-    if (name == "serdes")
-        return tech::serdes();
-    if (name == "optical")
-        return tech::opticalIo();
-    if (name == "area")
-        return tech::areaIo();
-    fatal("unknown external I/O '", name, "' (serdes | optical | area)");
-}
-
-tech::CoolingSolution
-parseCooling(const std::string &name)
-{
-    if (name == "air")
-        return tech::airCooling();
-    if (name == "water")
-        return tech::waterCooling();
-    if (name == "multiphase")
-        return tech::multiphaseCooling();
-    if (name == "none")
-        return tech::unlimitedCooling();
-    fatal("unknown cooling '", name,
-          "' (air | water | multiphase | none)");
-}
-
-core::TopologyKind
-parseTopology(const std::string &name)
-{
-    if (name == "clos")
-        return core::TopologyKind::Clos;
-    if (name == "mesh")
-        return core::TopologyKind::Mesh;
-    if (name == "butterfly")
-        return core::TopologyKind::Butterfly;
-    if (name == "fb")
-        return core::TopologyKind::FlattenedButterfly;
-    if (name == "dragonfly")
-        return core::TopologyKind::Dragonfly;
-    fatal("unknown topology '", name,
-          "' (clos | mesh | butterfly | fb | dragonfly)");
-}
-
+/// The kDesign part of a design point.
 core::DesignSpec
-specFromArgs(const Args &args)
+designSpec(const Opts &opts)
 {
     core::DesignSpec spec;
-    spec.substrate_side = args.num("substrate", 300.0);
-    spec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    spec.external_io = parseExternalIo(args.str("ext", "optical"));
-    const int config = static_cast<int>(args.integer("ssc-config", 1));
-    spec.ssc = power::tomahawk5(config);
-    const int deradix = static_cast<int>(args.integer("deradix", 1));
+    spec.substrate_side = opts.real("substrate");
+    spec.wsi = pick(opts.choice("wsi"),
+                    {tech::siIf(), tech::siIf2x(), tech::infoSow()});
+    spec.external_io =
+        pick(opts.choice("ext"),
+             {tech::serdes(), tech::opticalIo(), tech::areaIo()});
+    spec.ssc = power::tomahawk5(opts.integer<int>("ssc-config"));
+    const int deradix = opts.integer<int>("deradix");
     if (deradix > 1)
         spec.ssc = topology::deradixedSsc(spec.ssc, deradix);
-    spec.cooling = parseCooling(args.str("cooling", "none"));
-    spec.leaf_split = static_cast<int>(args.integer("hetero", 1));
-    spec.topology = parseTopology(args.str("topology", "clos"));
-    spec.area_only = args.has("ideal");
-    spec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 4));
-    spec.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    spec.cooling = pick(opts.choice("cooling"),
+                        {tech::airCooling(), tech::waterCooling(),
+                         tech::multiphaseCooling(),
+                         tech::unlimitedCooling()});
+    spec.mapping_restarts = opts.integer<int>("restarts");
+    spec.seed = opts.integer<std::uint64_t>("seed");
+    return spec;
+}
+
+/// The full design point of `solve` and `plan`.
+core::DesignSpec
+solveSpec(const Opts &opts)
+{
+    core::DesignSpec spec = designSpec(opts);
+    spec.leaf_split = opts.integer<int>("hetero");
+    spec.topology = pick(opts.choice("topology"),
+                         {core::TopologyKind::Clos, core::TopologyKind::Mesh,
+                          core::TopologyKind::Butterfly,
+                          core::TopologyKind::FlattenedButterfly,
+                          core::TopologyKind::Dragonfly});
+    spec.area_only = opts.has("ideal");
     return spec;
 }
 
 int
-cmdSolve(const Args &args)
+cmdSolve(const Opts &opts)
 {
-    const core::DesignSpec spec = specFromArgs(args);
+    const core::DesignSpec spec = solveSpec(opts);
     const auto result = core::RadixSolver(spec).solveMaxPorts();
     const auto &best = result.best;
 
@@ -394,68 +351,80 @@ cmdSolve(const Args &args)
     return 0;
 }
 
-/// Fabric parameters shared by `wss sim` and `wss sweep`.
+/// The kFabric router and channel parameters.
 sim::NetworkSpec
-fabricSpecFromArgs(const Args &args)
+fabricSpec(const Opts &opts)
 {
     sim::NetworkSpec spec;
-    spec.vcs = static_cast<int>(args.integer("vcs", 16));
-    spec.buffer_per_port =
-        static_cast<int>(args.integer("buffer", 64));
-    spec.rc_delay_ingress =
-        static_cast<int>(args.integer("rc-ingress", 2));
-    spec.rc_delay_transit =
-        static_cast<int>(args.integer("rc-transit", 2));
-    spec.pipeline_delay =
-        static_cast<int>(args.integer("pipeline", 9));
-    spec.terminal_link_latency =
-        static_cast<int>(args.integer("io-delay", 8));
-    spec.internal_link_latency =
-        static_cast<int>(args.integer("hop-delay", 1));
-    spec.adaptive_routing = args.has("adaptive");
+    spec.vcs = opts.integer<int>("vcs");
+    spec.buffer_per_port = opts.integer<int>("buffer");
+    spec.rc_delay_ingress = opts.integer<int>("rc-ingress");
+    spec.rc_delay_transit = opts.integer<int>("rc-transit");
+    spec.pipeline_delay = opts.integer<int>("pipeline");
+    spec.terminal_link_latency = opts.integer<int>("io-delay");
+    spec.internal_link_latency = opts.integer<int>("hop-delay");
+    spec.adaptive_routing = opts.has("adaptive");
     return spec;
 }
 
-/// Phase configuration shared by `wss sim` and `wss sweep`.
+/// The kFabric run phases.
 sim::SimConfig
-simConfigFromArgs(const Args &args)
+simConfig(const Opts &opts)
 {
     sim::SimConfig cfg;
-    cfg.warmup = args.integer("warmup", 1000);
-    cfg.measure = args.integer("measure", 4000);
-    cfg.drain_limit = args.integer("drain", 20000);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.warmup = opts.integer("warmup");
+    cfg.measure = opts.integer("measure");
+    cfg.drain_limit = opts.integer("drain");
+    cfg.seed = opts.integer<std::uint64_t>("seed");
     return cfg;
 }
 
 /// Sweep rates: --geometric gives min-rate..max-rate geometric
 /// spacing, otherwise linear in (0, max-rate].
 std::vector<double>
-ratesFromArgs(const Args &args)
+sweepRates(const Opts &opts)
 {
-    const int points = static_cast<int>(args.integer("points", 9));
-    const double max_rate = args.num("max-rate", 0.9);
-    if (args.has("geometric"))
-        return sim::geometricRates(args.num("min-rate", 0.05),
-                                   max_rate, points);
-    return sim::linearRates(max_rate, points);
+    const int points = opts.integer<int>("points");
+    if (opts.has("geometric"))
+        return sim::geometricRates(opts.real("min-rate"),
+                                   opts.real("max-rate"), points);
+    return sim::linearRates(opts.real("max-rate"), points);
+}
+
+/// One load sweep as a table, then its zero-load latency and
+/// saturation throughput on a line the caller ends.
+void
+printSweep(const std::string &title, const sim::SweepResult &sweep,
+           int offered_digits)
+{
+    Table table(title,
+                {"offered", "accepted", "avg latency", "p99", "stable"});
+    for (const auto &point : sweep.points) {
+        table.addRow({Table::num(point.offered, offered_digits),
+                      Table::num(point.accepted, 3),
+                      Table::num(point.avg_latency, 1),
+                      Table::num(point.p99_latency, 1),
+                      point.stable ? "yes" : "no"});
+    }
+    table.print(std::cout);
+    std::cout << "zero-load " << Table::num(sweep.zero_load_latency, 1)
+              << " cycles, saturation "
+              << Table::num(sweep.saturation_throughput, 3)
+              << " flits/terminal/cycle";
 }
 
 int
-cmdSim(const Args &args)
+cmdSim(const Opts &opts)
 {
-    const auto ports = args.integer("ports", 512);
-    const std::string pattern = args.str("pattern", "uniform");
-    const int packet =
-        static_cast<int>(args.integer("packet-flits", 1));
+    const auto ports = opts.integer("ports");
+    const std::string &pattern = opts.text("pattern");
+    const int packet = opts.integer<int>("packet-flits");
     const auto topo =
         topology::buildFoldedClos({ports, power::tomahawk5(1), 1});
 
-    const sim::NetworkSpec spec = fabricSpecFromArgs(args);
-    const sim::SimConfig cfg = simConfigFromArgs(args);
-    ObsSession obs_session(args, "wss sim", cfg.seed, 1);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
+    const sim::NetworkSpec spec = fabricSpec(opts);
+    const sim::SimConfig cfg = simConfig(opts);
+    Run run(opts, "wss sim", cfg.seed, 1);
 
     const auto make_network = [&] {
         return std::make_unique<sim::Network>(topo, spec, cfg.seed);
@@ -467,47 +436,34 @@ cmdSim(const Args &args)
     };
 
     const auto sweep = [&] {
-        obs::ScopedPhase phase(&profiler, "sweep");
+        obs::ScopedPhase phase(&run.profiler, "sweep");
         return sim::sweepLoad(make_network, make_workload,
-                              ratesFromArgs(args), cfg);
+                              sweepRates(opts), cfg);
     }();
 
-    Table table("wss sim — " + pattern + " on " + Table::num(ports) +
-                    " ports",
-                {"offered", "accepted", "avg latency", "p99", "stable"});
-    for (const auto &point : sweep.points) {
-        table.addRow({Table::num(point.offered, 2),
-                      Table::num(point.accepted, 3),
-                      Table::num(point.avg_latency, 1),
-                      Table::num(point.p99_latency, 1),
-                      point.stable ? "yes" : "no"});
-    }
-    table.print(std::cout);
-    std::cout << "zero-load " << Table::num(sweep.zero_load_latency, 1)
-              << " cycles, saturation "
-              << Table::num(sweep.saturation_throughput, 3)
-              << " flits/terminal/cycle\n";
+    printSweep("wss sim — " + pattern + " on " + Table::num(ports) +
+                   " ports",
+               sweep, 2);
+    std::cout << "\n";
 
     // Observed run: one extra simulation with per-router/per-link
     // telemetry on, dumped as long-format CSV.
-    if (args.has("stats-out")) {
-        const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("sim: --stats-out needs a file path");
+    if (opts.has("stats-out")) {
+        const std::string &path = opts.text("stats-out");
         sim::SimConfig obs_cfg = cfg;
         obs_cfg.observe = true;
-        obs_cfg.observe_sample_every = args.integer("obs-sample", 0);
+        obs_cfg.observe_sample_every = opts.integer("obs-sample");
         const double rate =
-            args.num("rate", args.num("max-rate", 0.9));
+            opts.real(opts.has("rate") ? "rate" : "max-rate");
 
         sim::SimResult full;
         {
-            obs::ScopedPhase phase(&profiler, "observe");
+            obs::ScopedPhase phase(&run.profiler, "observe");
             sim::runLoadPoint(make_network, make_workload, rate,
                               obs_cfg, &full);
         }
         full.observation->dumpCsvFile(path);
-        artifacts.note(path, "sim-observation");
+        run.note(path, "sim-observation");
 
         const std::uint64_t counted =
             full.observation->totalCounter("flits_delivered");
@@ -521,44 +477,27 @@ cmdSim(const Args &args)
                   << full.flits_delivered
                   << " flits delivered, counters reconcile)\n";
     }
-    finishProfile(args, profiler, nullptr);
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss sim", cfg.seed, 1, artifacts,
-                      profiler);
+    run.finish();
     return 0;
 }
 
 int
-cmdSweep(const Args &args)
+cmdSweep(const Opts &opts)
 {
-    const auto ports = args.integer("ports", 512);
-    const int packet =
-        static_cast<int>(args.integer("packet-flits", 1));
-    const int repetitions =
-        static_cast<int>(args.integer("reps", 1));
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
+    const auto ports = opts.integer("ports");
+    const int packet = opts.integer<int>("packet-flits");
+    const int repetitions = opts.integer<int>("reps");
+    const int jobs = jobsOf(opts);
     const auto topo =
         topology::buildFoldedClos({ports, power::tomahawk5(1), 1});
 
-    const sim::NetworkSpec spec = fabricSpecFromArgs(args);
-    const sim::SimConfig cfg = simConfigFromArgs(args);
-    const auto rates = ratesFromArgs(args);
+    const sim::NetworkSpec spec = fabricSpec(opts);
+    const sim::SimConfig cfg = simConfig(opts);
+    const auto rates = sweepRates(opts);
 
-    // One campaign job per traffic pattern (comma-separated list).
-    std::vector<std::string> patterns;
-    {
-        std::istringstream list(args.str("patterns", "uniform"));
-        std::string name;
-        while (std::getline(list, name, ','))
-            if (!name.empty())
-                patterns.push_back(name);
-    }
-    if (patterns.empty())
-        fatal("sweep: --patterns needs at least one pattern name");
-
+    // One campaign job per traffic pattern.
     exec::Campaign campaign;
-    for (const auto &pattern : patterns) {
+    for (const auto &pattern : opts.texts("patterns")) {
         exec::SweepJob job;
         job.make_network = [&topo, spec](std::uint64_t seed) {
             return std::make_unique<sim::Network>(topo, spec, seed);
@@ -576,90 +515,41 @@ cmdSweep(const Args &args)
     }
 
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss sweep", cfg.seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss sweep");
-    const auto result =
-        campaign.run(&pool, tracing ? &trace : nullptr, &profiler);
+    Run run(opts, "wss sweep", cfg.seed, jobs);
+    const auto result = campaign.run(&pool, run.trace(), &run.profiler);
 
     for (const auto &job : result.jobs) {
-        const auto &sweep = job.sweep.combined;
-        Table table("wss sweep — " + job.name + " on " +
-                        Table::num(ports) + " ports (" +
-                        Table::num(static_cast<double>(
-                                       job.sweep.reps.size()),
-                                   0) +
-                        " reps)",
-                    {"offered", "accepted", "avg latency", "p99",
-                     "stable"});
-        for (const auto &point : sweep.points) {
-            table.addRow({Table::num(point.offered, 3),
-                          Table::num(point.accepted, 3),
-                          Table::num(point.avg_latency, 1),
-                          Table::num(point.p99_latency, 1),
-                          point.stable ? "yes" : "no"});
-        }
-        table.print(std::cout);
-        std::cout << "zero-load "
-                  << Table::num(sweep.zero_load_latency, 1)
-                  << " cycles, saturation "
-                  << Table::num(sweep.saturation_throughput, 3)
-                  << " flits/terminal/cycle, "
-                  << Table::num(job.seconds, 2) << " cpu-s over "
+        printSweep("wss sweep — " + job.name + " on " + Table::num(ports) +
+                       " ports (" +
+                       Table::num(static_cast<double>(job.sweep.reps.size()),
+                                  0) +
+                       " reps)",
+                   job.sweep.combined, 3);
+        std::cout << ", " << Table::num(job.seconds, 2) << " cpu-s over "
                   << job.cells << " runs\n\n";
     }
     std::cout << "campaign: " << result.jobs.size() << " jobs on "
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "campaign-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "campaign-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
-    finishProfile(args, profiler, tracing ? &trace : nullptr);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("sweep: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss sweep", cfg.seed, jobs, artifacts,
-                      profiler);
+    run.writeResults(result, "campaign");
+    run.finish();
     return 0;
 }
 
 int
-cmdTrace(const Args &args)
+cmdTrace(const Opts &opts)
 {
-    const std::string app = args.str("app", "lulesh");
-    const int ranks = static_cast<int>(args.integer("ranks", 512));
+    const std::string &app = opts.text("app");
+    const int ranks = opts.integer<int>("ranks");
     trace::GeneratorConfig gen;
-    gen.iterations = static_cast<int>(args.integer("iterations", 8));
-    gen.iteration_period = args.integer("period", 600);
-    gen.base_message_flits =
-        static_cast<int>(args.integer("message-flits", 8));
-    gen.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    gen.iterations = opts.integer<int>("iterations");
+    gen.iteration_period = opts.integer("period");
+    gen.base_message_flits = opts.integer<int>("message-flits");
+    gen.seed = opts.integer<std::uint64_t>("seed");
 
     trace::MessageTrace trace = trace::generateMiniApp(app, ranks, gen);
-    const int duplicate =
-        static_cast<int>(args.integer("duplicate", 1));
+    const int duplicate = opts.integer<int>("duplicate");
     if (duplicate > 1)
         trace = trace::duplicateTrace(trace, duplicate);
 
@@ -669,8 +559,8 @@ cmdTrace(const Args &args)
               << " cycles (avg load "
               << Table::num(trace.averageLoad(), 4)
               << " flits/rank/cycle)\n";
-    if (args.has("out")) {
-        const std::string path = args.str("out", "");
+    if (opts.has("out")) {
+        const std::string &path = opts.text("out");
         std::ofstream os(path);
         if (!os)
             fatal("cannot open '", path, "' for writing");
@@ -681,14 +571,14 @@ cmdTrace(const Args &args)
 }
 
 int
-cmdYield(const Args &args)
+cmdYield(const Opts &opts)
 {
     tech::YieldModel model;
-    model.defect_density_cm2 = args.num("defects", 0.1);
-    model.bond_yield = args.num("bond-yield", 0.999);
+    model.defect_density_cm2 = opts.real("defects");
+    model.bond_yield = opts.real("bond-yield");
 
-    const int sockets = static_cast<int>(args.integer("chiplets", 96));
-    const double area = args.num("die-area", 800.0);
+    const int sockets = opts.integer<int>("chiplets");
+    const double area = opts.real("die-area");
 
     Table table("wss yield", {"metric", "value"});
     table.addRow({"die yield (" + Table::num(area, 0) + " mm^2)",
@@ -703,105 +593,41 @@ cmdYield(const Args &args)
     }
     table.addRow({"monolithic wafer (99% redundancy)",
                   Table::num(tech::monolithicWaferYield(
-                                 args.num("substrate", 300.0), 0.99,
-                                 model),
+                                 opts.real("substrate"), 0.99, model),
                              5)});
     table.print(std::cout);
     return 0;
 }
 
-/// Comma-separated "--key a,b,c" list; fatal when empty.
-std::vector<std::string>
-listFromArgs(const Args &args, const std::string &key,
-             const std::string &fallback)
-{
-    std::vector<std::string> items;
-    std::istringstream list(args.str(key, fallback));
-    std::string item;
-    while (std::getline(list, item, ','))
-        if (!item.empty())
-            items.push_back(item);
-    if (items.empty())
-        fatal("--", key, " needs at least one value");
-    return items;
-}
-
 int
-cmdResilience(const Args &args)
+cmdResilience(const Opts &opts)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss resilience [--flags]\n"
-            "\n"
-            "Monte-Carlo resilience campaign: sample defect maps of a\n"
-            "folded-Clos waferscale switch, repair with spare SSCs,\n"
-            "classify connectivity, and (optionally) simulate the\n"
-            "degraded fabric's saturation throughput.\n"
-            "\n"
-            "  --ports 256,512      switch radices to sweep\n"
-            "  --densities 0.1,0.3  die defect densities (per cm^2)\n"
-            "  --spares 0,1,2       spare-SSC counts\n"
-            "  --ssc-radix 64       sub-switch chiplet radix\n"
-            "  --line-rate 200      SSC line rate (Gbps)\n"
-            "  --samples 500        defect maps per cell\n"
-            "  --sim-samples 0      maps also simulated packet-level\n"
-            "  --sim-rate 0.9       offered load for those runs\n"
-            "  --packet-flits 4     flits per packet\n"
-            "  --bond-yield 0.999   per-bond success probability\n"
-            "  --test-escape 0.05   defective dies missed by KGD test\n"
-            "  --node-fail 0.002    SSC field-failure probability\n"
-            "  --link-fail 0.0005   link-unit field-failure probability\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             base seed (same seed + config =>\n"
-            "                       bit-identical CSV at any --jobs)\n"
-            "  --csv out.csv --json out.json\n"
-            "  --trace-out run.json Chrome-trace timeline of the\n"
-            "                       campaign (Perfetto-loadable)\n"
-            "  plus the sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
-
     fault::ResilienceConfig cfg;
-    cfg.radices.clear();
-    for (const auto &item : listFromArgs(args, "ports", "256"))
-        cfg.radices.push_back(std::stoll(item));
-    cfg.defect_densities.clear();
-    for (const auto &item : listFromArgs(args, "densities", "0.1,0.3"))
-        cfg.defect_densities.push_back(std::stod(item));
-    cfg.spare_counts.clear();
-    for (const auto &item : listFromArgs(args, "spares", "0,1,2"))
-        cfg.spare_counts.push_back(static_cast<int>(std::stoi(item)));
+    cfg.radices = opts.ints("ports");
+    cfg.defect_densities = opts.reals("densities");
+    const std::vector<std::int64_t> spares = opts.ints("spares");
+    cfg.spare_counts.assign(spares.begin(), spares.end());
 
-    cfg.ssc = power::scaledSsc(
-        static_cast<int>(args.integer("ssc-radix", 64)),
-        args.num("line-rate", 200.0));
-    cfg.model.yield.bond_yield = args.num("bond-yield", 0.999);
-    cfg.model.test_escape = args.num("test-escape", 0.05);
-    cfg.model.node_field_failure = args.num("node-fail", 0.002);
-    cfg.model.link_field_failure = args.num("link-fail", 0.0005);
-    cfg.samples = static_cast<int>(args.integer("samples", 500));
-    cfg.sim_samples =
-        static_cast<int>(args.integer("sim-samples", 0));
-    cfg.sim_rate = args.num("sim-rate", 0.9);
-    cfg.sim_packet_size =
-        static_cast<int>(args.integer("packet-flits", 4));
-    cfg.net_spec = fabricSpecFromArgs(args);
-    cfg.sim_cfg = simConfigFromArgs(args);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.ssc = power::scaledSsc(opts.integer<int>("ssc-radix"),
+                               opts.real("line-rate"));
+    cfg.model.yield.bond_yield = opts.real("bond-yield");
+    cfg.model.test_escape = opts.real("test-escape");
+    cfg.model.node_field_failure = opts.real("node-fail");
+    cfg.model.link_field_failure = opts.real("link-fail");
+    cfg.samples = opts.integer<int>("samples");
+    cfg.sim_samples = opts.integer<int>("sim-samples");
+    cfg.sim_rate = opts.real("sim-rate");
+    cfg.sim_packet_size = opts.integer<int>("packet-flits");
+    cfg.net_spec = fabricSpec(opts);
+    cfg.sim_cfg = simConfig(opts);
+    cfg.seed = opts.integer<std::uint64_t>("seed");
 
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
+    const int jobs = jobsOf(opts);
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss resilience", cfg.seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss resilience");
+    Run run(opts, "wss resilience", cfg.seed, jobs);
     const fault::ResilienceResult result =
-        fault::ResilienceCampaign(cfg).run(
-            &pool, tracing ? &trace : nullptr, &profiler);
+        fault::ResilienceCampaign(cfg).run(&pool, run.trace(),
+                                           &run.profiler);
 
     Table table("wss resilience — " + Table::num(cfg.samples) +
                     " maps/cell, seed " + Table::num(cfg.seed),
@@ -824,32 +650,8 @@ cmdResilience(const Args &args)
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "resilience-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "resilience-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
-    finishProfile(args, profiler, tracing ? &trace : nullptr);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("resilience: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss resilience", cfg.seed, jobs,
-                      artifacts, profiler);
+    run.writeResults(result, "resilience");
+    run.finish();
     return 0;
 }
 
@@ -864,43 +666,57 @@ alignPorts(std::int64_t ports, int ssc_radix)
 
 /// SSC + I/O power estimate (W) for a switch that did not come out
 /// of the radix solver: core power of its 2-level-Clos chiplets plus
-/// the substrate-crossing and external-port I/O.
+/// the substrate-crossing and external-port I/O of @p design.
 double
-estimateSwitchPower(const Args &args, std::int64_t ports,
+estimateSwitchPower(const core::DesignSpec &design, std::int64_t ports,
                     const power::SscConfig &ssc)
 {
-    const auto wsi = parseWsi(args.str("wsi", "siif2x"));
-    const auto ext = parseExternalIo(args.str("ext", "optical"));
     const auto chiplets =
         topology::closChipletCount(ports, ssc.radix);
     return static_cast<double>(chiplets) * ssc.core_power +
            power::internalIoPower(2.0 * static_cast<double>(ports) *
                                       ssc.line_rate,
-                                  wsi) +
-           power::externalIoPower(ports, ssc.line_rate, ext);
+                                  design.wsi) +
+           power::externalIoPower(ports, ssc.line_rate,
+                                  design.external_io);
 }
 
-/// Acquire one design's profile: load `<dir>/<name>.json` when
-/// --profiles names a directory holding it (and --calibrate is not
-/// forcing a refresh), otherwise run the cycle-accurate calibration
-/// sweep — and persist it back when a directory was given.
-flow::SwitchProfile
-dcnProfile(const Args &args, const std::string &name,
-           std::int64_t ports, const power::SscConfig &ssc,
-           double power_watts, exec::ThreadPool *pool,
-           obs::TraceEventSink *trace, obs::Profiler *profiler)
+/// Hex hash over every input that shapes a calibrated profile, so a
+/// cached profile is reused only by a run that would calibrate the
+/// same one.
+std::string
+calibrationKey(const flow::CalibrationSpec &spec)
 {
-    const std::string dir = args.str("profiles", "");
-    const std::string path =
-        dir.empty() ? "" : dir + "/" + name + ".json";
-    if (!path.empty() && !args.has("calibrate")) {
-        std::ifstream probe(path);
-        if (probe.good()) {
-            std::cout << "dcn: loading profile " << path << "\n";
-            return flow::SwitchProfile::loadJsonFile(path);
-        }
-    }
+    const sim::NetworkSpec &net = spec.net_spec;
+    const sim::SimConfig &cfg = spec.sim_cfg;
+    std::ostringstream key;
+    key.precision(17);
+    key << spec.ports << ' ' << spec.ssc.name << ' ' << spec.ssc.radix
+        << ' ' << spec.ssc.line_rate << ' ' << spec.packet_flits << ' '
+        << net.vcs << ' ' << net.buffer_per_port << ' '
+        << net.rc_delay_ingress << ' ' << net.rc_delay_transit << ' '
+        << net.pipeline_delay << ' ' << net.terminal_link_latency << ' '
+        << net.internal_link_latency << ' ' << net.adaptive_routing
+        << ' ' << cfg.warmup << ' ' << cfg.measure << ' '
+        << cfg.drain_limit << ' ' << cfg.seed << ' '
+        << spec.cycle_seconds << ' ' << spec.power_watts;
+    for (const double rate : spec.rates)
+        key << ' ' << rate;
+    std::ostringstream hex;
+    hex << std::hex << obs::RunManifest::hashBytes(key.str());
+    return hex.str();
+}
 
+/// Acquire one design's profile: load it from the --profiles
+/// directory when a profile of the same calibration inputs is cached
+/// there (and --calibrate is not forcing a refresh), otherwise run
+/// the cycle-accurate calibration sweep — and persist it back when a
+/// directory was given.
+flow::SwitchProfile
+dcnProfile(const Opts &opts, const std::string &name, std::int64_t ports,
+           const power::SscConfig &ssc, double power_watts,
+           exec::ThreadPool *pool, Run &run)
+{
     flow::CalibrationSpec spec;
     spec.name = name;
     // Calibrating the full waferscale fabric cycle-accurately is
@@ -908,23 +724,33 @@ dcnProfile(const Args &args, const std::string &name,
     // the same chiplet; the latency-vs-load shape carries over and
     // the profile keeps the full DCN-level radix.
     spec.ports = alignPorts(
-        std::min<std::int64_t>(ports, args.integer("cal-ports", 512)),
+        std::min<std::int64_t>(ports, opts.integer("cal-ports")),
         ssc.radix);
     spec.ssc = ssc;
     spec.rates = sim::geometricRates(
-        args.num("min-rate", 0.05), args.num("max-rate", 0.95),
-        static_cast<int>(args.integer("points", 5)));
-    spec.packet_flits =
-        static_cast<int>(args.integer("packet-flits", 4));
-    spec.net_spec = fabricSpecFromArgs(args);
-    spec.sim_cfg = simConfigFromArgs(args);
+        opts.real("min-rate"), opts.real("max-rate"),
+        opts.integer<int>("points"));
+    spec.packet_flits = opts.integer<int>("packet-flits");
+    spec.net_spec = fabricSpec(opts);
+    spec.sim_cfg = simConfig(opts);
     spec.power_watts = power_watts;
+
+    const std::string &dir = opts.text("profiles");
+    const std::string path =
+        dir.empty() ? ""
+                    : dir + "/" + name + "-" + calibrationKey(spec) +
+                          ".json";
+    if (!path.empty() && !opts.has("calibrate") &&
+        std::ifstream(path).good()) {
+        std::cout << "dcn: loading profile " << path << "\n";
+        return flow::SwitchProfile::loadJsonFile(path);
+    }
 
     std::cout << "dcn: calibrating " << name << " ("
               << spec.ports << "-port internal fabric, "
               << spec.rates.size() << " load points)\n";
-    flow::SwitchProfile profile =
-        flow::calibrateSwitchProfile(spec, pool, trace, profiler);
+    flow::SwitchProfile profile = flow::calibrateSwitchProfile(
+        spec, pool, run.trace(), &run.profiler);
     profile.radix = ports;
     if (!path.empty()) {
         std::error_code ec;
@@ -935,141 +761,100 @@ dcnProfile(const Args &args, const std::string &name,
     return profile;
 }
 
-int
-cmdDcn(const Args &args)
+/// The two switches `dcn` and `coll` compare, each with its
+/// calibrated profile.
+struct DesignPair
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss dcn [--flags]\n"
-            "\n"
-            "Flow-level DCN comparison: calibrate per-switch load-\n"
-            "latency profiles from the cycle-accurate fabric, build\n"
-            "multi-switch networks from a waferscale design and a\n"
-            "conventional baseline, and compare FCT/slowdown tails,\n"
-            "hop counts and power under the same flow workloads.\n"
-            "\n"
-            "  --ws-ports 0         waferscale radix (0 = run the\n"
-            "                       radix solver with the solve flags)\n"
-            "  --conv-ports 64      conventional switch radix\n"
-            "  --conv-ssc-radix 32  chiplet radix of the baseline\n"
-            "  --cal-ports 512      cap on the calibration fabric\n"
-            "  --calibrate          re-run calibration even when\n"
-            "                       --profiles has cached JSON\n"
-            "  --profiles dir       profile cache directory\n"
-            "                       (ws-<R>.json / conv-<R>.json)\n"
-            "  --dcn-topology fat-tree | dragonfly\n"
-            "  --hosts 1024         endpoints each network must cover\n"
-            "  --flows 100000       flows per cell\n"
-            "  --workloads websearch,hadoop,fixed,incast\n"
-            "  --loads 0.3,0.7      offered loads (fraction of host bw)\n"
-            "  --node-fail 0        per-switch field-failure\n"
-            "                       probability (kills mid-run)\n"
-            "  --points 5           calibration load points\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             base seed (same seed + config =>\n"
-            "                       bit-identical CSV at any --jobs)\n"
-            "  --csv out.csv --json out.json --trace-out run.json\n"
-            "  --stats-out t.csv    re-run the first cell with windowed\n"
-            "                       telemetry on and dump the per-link\n"
-            "                       congestion timeline (long CSV)\n"
-            "  --telemetry-window 0 window length in simulated seconds\n"
-            "                       (0 = duration/24 of that cell)\n"
-            "  --profile            print the phase self-time table\n"
-            "  --manifest-out m.json  provenance manifest of this run\n"
-            "  plus the solve flags (--substrate, --wsi, ...) and the\n"
-            "  sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
+    /// The waferscale design point (its chiplet builds the fabric).
+    core::DesignSpec spec;
+    flow::SwitchProfile ws;
+    flow::SwitchProfile conv;
+};
 
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
-    exec::ThreadPool pool(jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss dcn");
-    obs::TraceEventSink *sink = tracing ? &trace : nullptr;
-    ObsSession obs_session(
-        args, "wss dcn",
-        static_cast<std::uint64_t>(args.integer("seed", 1)), jobs);
+/// The waferscale design (solver-sized unless --ws-ports pins it)
+/// and a conventional baseline: a small fixed-radix box built from
+/// the same chiplet family at the same line rate.
+DesignPair
+designPair(const Opts &opts, const std::string &tool,
+           exec::ThreadPool *pool, Run &run)
+{
+    DesignPair pair;
+    pair.spec = designSpec(opts);
+    pair.spec.topology = core::TopologyKind::Clos; // internal fabric
+    const power::SscConfig &ssc = pair.spec.ssc;
 
-    // Waferscale design: solver-sized unless --ws-ports pins it.
-    core::DesignSpec dspec;
-    dspec.substrate_side = args.num("substrate", 300.0);
-    dspec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    dspec.external_io = parseExternalIo(args.str("ext", "optical"));
-    dspec.ssc = power::tomahawk5(
-        static_cast<int>(args.integer("ssc-config", 1)));
-    const int deradix = static_cast<int>(args.integer("deradix", 1));
-    if (deradix > 1)
-        dspec.ssc = topology::deradixedSsc(dspec.ssc, deradix);
-    dspec.cooling = parseCooling(args.str("cooling", "none"));
-    dspec.topology = core::TopologyKind::Clos; // internal fabric
-    dspec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 2));
-    dspec.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
-
-    std::int64_t ws_ports = args.integer("ws-ports", 0);
+    std::int64_t ws_ports = opts.integer("ws-ports");
     double ws_power = 0.0;
     if (ws_ports <= 0) {
-        const auto solved = core::RadixSolver(dspec).solveMaxPorts();
+        const auto solved = core::RadixSolver(pair.spec).solveMaxPorts();
         if (solved.best.ports == 0)
-            fatal("dcn: the radix solver found no feasible "
-                  "waferscale design; pin one with --ws-ports");
-        ws_ports = alignPorts(solved.best.ports, dspec.ssc.radix);
+            fatal(tool, ": the radix solver found no feasible "
+                        "waferscale design; pin one with --ws-ports");
+        ws_ports = alignPorts(solved.best.ports, ssc.radix);
         ws_power = solved.best.power.total();
-        std::cout << "dcn: solver sized the waferscale switch at "
+        std::cout << tool << ": solver sized the waferscale switch at "
                   << ws_ports << " ports, "
                   << Table::num(ws_power / 1000.0, 1) << " kW\n";
     } else {
-        ws_ports = alignPorts(ws_ports, dspec.ssc.radix);
-        ws_power = estimateSwitchPower(args, ws_ports, dspec.ssc);
+        ws_ports = alignPorts(ws_ports, ssc.radix);
+        ws_power = estimateSwitchPower(pair.spec, ws_ports, ssc);
     }
 
-    // Conventional baseline: a small fixed-radix box built from the
-    // same chiplet family at the same line rate.
-    const std::int64_t conv_ports = args.integer("conv-ports", 64);
     const power::SscConfig conv_ssc = power::scaledSsc(
-        static_cast<int>(args.integer("conv-ssc-radix", 32)),
-        dspec.ssc.line_rate);
-    const std::int64_t conv_aligned =
-        alignPorts(conv_ports, conv_ssc.radix);
-    const double conv_power =
-        estimateSwitchPower(args, conv_aligned, conv_ssc);
+        opts.integer<int>("conv-ssc-radix"), ssc.line_rate);
+    const std::int64_t conv_ports =
+        alignPorts(opts.integer("conv-ports"), conv_ssc.radix);
+    pair.ws = dcnProfile(opts, "ws-" + std::to_string(ws_ports), ws_ports,
+                         ssc, ws_power, pool, run);
+    pair.conv = dcnProfile(
+        opts, "conv-" + std::to_string(conv_ports), conv_ports, conv_ssc,
+        estimateSwitchPower(pair.spec, conv_ports, conv_ssc), pool, run);
+    return pair;
+}
 
-    const flow::SwitchProfile ws_profile = dcnProfile(
-        args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, sink, &profiler);
-    const flow::SwitchProfile conv_profile = dcnProfile(
-        args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, sink, &profiler);
+flow::DcnKind
+dcnKind(const Opts &opts)
+{
+    return pick(opts.choice("dcn-topology"),
+                {flow::DcnKind::FatTree, flow::DcnKind::Dragonfly});
+}
+
+/// A @p kind network of @p profile switches covering @p hosts.
+flow::DcnTopology
+buildDcn(flow::DcnKind kind, std::int64_t hosts,
+         const flow::SwitchProfile &profile)
+{
+    const int radix = static_cast<int>(profile.radix);
+    return kind == flow::DcnKind::FatTree
+               ? flow::DcnTopology::buildFatTree(hosts, radix,
+                                                 profile.line_rate_gbps)
+               : flow::DcnTopology::buildDragonfly(
+                     hosts, radix, profile.line_rate_gbps);
+}
+
+int
+cmdDcn(const Opts &opts)
+{
+    const int jobs = jobsOf(opts);
+    exec::ThreadPool pool(jobs);
+    const auto seed = opts.integer<std::uint64_t>("seed");
+    Run run(opts, "wss dcn", seed, jobs);
+    const DesignPair pair = designPair(opts, "dcn", &pool, run);
 
     flow::DcnCampaignConfig cfg;
-    cfg.designs = {ws_profile, conv_profile};
-    const std::string kind = args.str("dcn-topology", "fat-tree");
-    if (kind == "fat-tree")
-        cfg.kind = flow::DcnKind::FatTree;
-    else if (kind == "dragonfly")
-        cfg.kind = flow::DcnKind::Dragonfly;
-    else
-        fatal("dcn: unknown --dcn-topology '", kind,
-              "' (fat-tree | dragonfly)");
-    cfg.hosts = args.integer("hosts", 1024);
+    cfg.designs = {pair.ws, pair.conv};
+    cfg.kind = dcnKind(opts);
+    cfg.hosts = opts.integer("hosts");
     cfg.workloads.clear();
-    for (const auto &name :
-         listFromArgs(args, "workloads", "websearch"))
+    for (const auto &name : opts.texts("workloads"))
         cfg.workloads.push_back(flow::workloadByName(name));
-    cfg.loads.clear();
-    for (const auto &item : listFromArgs(args, "loads", "0.3,0.7"))
-        cfg.loads.push_back(std::stod(item));
-    cfg.flows_per_cell = args.integer("flows", 100000);
-    cfg.fault_model.node_field_failure = args.num("node-fail", 0.0);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.loads = opts.reals("loads");
+    cfg.flows_per_cell = opts.integer("flows");
+    cfg.fault_model.node_field_failure = opts.real("node-fail");
+    cfg.seed = seed;
 
     const flow::DcnResult result =
-        flow::DcnCampaign(cfg).run(&pool, sink, &profiler);
+        flow::DcnCampaign(cfg).run(&pool, run.trace(), &run.profiler);
 
     Table table("wss dcn — " + Table::num(cfg.hosts) + " hosts, " +
                     Table::num(cfg.flows_per_cell) +
@@ -1093,36 +878,15 @@ cmdDcn(const Args &args)
     std::cout << "campaign: " << result.cells.size() << " cells on "
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
-
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "dcn-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "dcn-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
+    run.writeResults(result, "dcn");
 
     // Observed run: re-simulate the campaign's first cell (same
     // seed-derived flow list, fault-free) with windowed telemetry on
     // and dump the per-link congestion timeline.
-    if (args.has("stats-out")) {
-        const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("dcn: --stats-out needs a file path");
+    if (opts.has("stats-out")) {
+        const std::string &path = opts.text("stats-out");
         const flow::SwitchProfile &profile = cfg.designs.front();
-        flow::DcnTopology topo =
-            cfg.kind == flow::DcnKind::FatTree
-                ? flow::DcnTopology::buildFatTree(
-                      cfg.hosts, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps)
-                : flow::DcnTopology::buildDragonfly(
-                      cfg.hosts, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps);
+        flow::DcnTopology topo = buildDcn(cfg.kind, cfg.hosts, profile);
         flow::DcnWorkloadSpec workload = cfg.workloads.front();
         workload.load = cfg.loads.front();
         workload.flow_count = cfg.flows_per_cell;
@@ -1132,98 +896,79 @@ cmdDcn(const Args &args)
                                 deriveSeed(cfg.seed, 1));
 
         flow::FlowSimConfig obs_cfg;
-        obs_cfg.profiler = &profiler;
-        obs_cfg.trace = sink;
+        obs_cfg.profiler = &run.profiler;
+        obs_cfg.trace = run.trace();
         obs_cfg.trace_label = "dcn-observed";
         // Default window: ~24 buckets over the campaign's own run of
         // this cell (its duration is already known).
         const double duration = result.cells.front().sim.duration_s;
-        obs_cfg.telemetry_window_s =
-            args.num("telemetry-window",
-                     duration > 0.0 ? duration / 24.0 : 1e-6);
-        if (obs_cfg.telemetry_window_s <= 0.0)
-            fatal("dcn: --telemetry-window must be positive");
+        obs_cfg.telemetry_window_s = opts.real("telemetry-window");
+        if (obs_cfg.telemetry_window_s == 0.0)
+            obs_cfg.telemetry_window_s =
+                duration > 0.0 ? duration / 24.0 : 1e-6;
 
         const flow::FlowSimResult observed =
             flow::simulateFlows(topo, profile, flows, {}, obs_cfg);
         observed.telemetry->dumpCsvFile(path);
-        artifacts.note(path, "flow-telemetry");
+        run.note(path, "flow-telemetry");
         std::cout << "telemetry written to " << path << " ("
                   << observed.telemetry->windows.size()
                   << " windows of "
                   << Table::num(obs_cfg.telemetry_window_s * 1e6, 3)
                   << " us, " << observed.started << " flows)\n";
     }
-
-    finishProfile(args, profiler, sink);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("dcn: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss dcn", cfg.seed, jobs, artifacts,
-                      profiler);
+    run.finish();
     return 0;
 }
 
-/// Collective name -> (collective, algorithm) for `wss coll`.
-coll::CollSpec
-parseCollSpec(const std::string &name)
+/// `wss coll --collectives` names and what each schedules.
+const std::map<std::string, coll::CollSpec> kCollectives = [] {
+    using enum coll::Collective;
+    using enum coll::Algorithm;
+    return std::map<std::string, coll::CollSpec>{
+        {"ring", {AllReduce, Ring}},
+        {"rd", {AllReduce, RecursiveDoubling}},
+        {"recursive-doubling", {AllReduce, RecursiveDoubling}},
+        {"hd", {AllReduce, HalvingDoubling}},
+        {"halving-doubling", {AllReduce, HalvingDoubling}},
+        {"tree", {AllReduce, Tree}},
+        {"alltoall", {AllToAll, Pairwise}},
+        {"a2a", {AllToAll, Pairwise}},
+        {"reduce-scatter", {ReduceScatter, Ring}},
+        {"rs", {ReduceScatter, Ring}},
+        {"all-gather", {AllGather, Ring}},
+        {"ag", {AllGather, Ring}}};
+}();
+
+std::vector<std::string>
+collectiveNames()
 {
-    if (name == "ring")
-        return {coll::Collective::AllReduce, coll::Algorithm::Ring};
-    if (name == "rd" || name == "recursive-doubling")
-        return {coll::Collective::AllReduce,
-                coll::Algorithm::RecursiveDoubling};
-    if (name == "hd" || name == "halving-doubling")
-        return {coll::Collective::AllReduce,
-                coll::Algorithm::HalvingDoubling};
-    if (name == "tree")
-        return {coll::Collective::AllReduce, coll::Algorithm::Tree};
-    if (name == "alltoall" || name == "a2a")
-        return {coll::Collective::AllToAll, coll::Algorithm::Pairwise};
-    if (name == "reduce-scatter" || name == "rs")
-        return {coll::Collective::ReduceScatter, coll::Algorithm::Ring};
-    if (name == "all-gather" || name == "ag")
-        return {coll::Collective::AllGather, coll::Algorithm::Ring};
-    fatal("coll: unknown collective '", name,
-          "' (ring | rd | hd | tree | alltoall | reduce-scatter | "
-          "all-gather)");
+    std::vector<std::string> names;
+    for (const auto &entry : kCollectives)
+        names.push_back(entry.first);
+    return names;
 }
 
-/// Parse `--plan dp=8,tp=4,pp=2,ep=2` (every axis optional,
+/// The `--plan dp=8,tp=4,pp=2,ep=2` shape (every axis optional,
 /// defaulting to 1, values strictly positive).
 coll::PlanShape
-parsePlanShape(const std::string &text)
+planShape(const Opts &opts)
 {
+    static const std::map<std::string, int coll::PlanShape::*> axes = {
+        {"dp", &coll::PlanShape::dp},
+        {"tp", &coll::PlanShape::tp},
+        {"pp", &coll::PlanShape::pp},
+        {"ep", &coll::PlanShape::ep}};
     coll::PlanShape shape;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    for (const std::string &item : opts.texts("plan")) {
         const auto eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("coll: --plan entries look like dp=8, got '", item,
-                  "'");
-        const std::string axis = item.substr(0, eq);
-        const int v = static_cast<int>(util::parsePositiveInt(
-            item.substr(eq + 1), ("--plan " + axis).c_str(), 1 << 20));
-        if (axis == "dp")
-            shape.dp = v;
-        else if (axis == "tp")
-            shape.tp = v;
-        else if (axis == "pp")
-            shape.pp = v;
-        else if (axis == "ep")
-            shape.ep = v;
-        else
-            fatal("coll: unknown --plan axis '", axis,
-                  "' (dp | tp | pp | ep)");
+        const auto axis = axes.find(item.substr(0, eq));
+        if (eq == std::string::npos || axis == axes.end())
+            fatal("coll: --plan entries look like dp=8 (axes dp | tp | "
+                  "pp | ep), got '", item, "'");
+        shape.*axis->second = static_cast<int>(util::parseInt(
+            item.substr(eq + 1), ("--plan " + axis->first).c_str(), 1,
+            1 << 20));
     }
     const std::string err = shape.validate();
     if (!err.empty())
@@ -1232,172 +977,32 @@ parsePlanShape(const std::string &text)
 }
 
 int
-cmdColl(const Args &args)
+cmdColl(const Opts &opts)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss coll [--flags]\n"
-            "\n"
-            "Collective-communication comparison: schedule allreduce /\n"
-            "all-to-all algorithms as deterministic step-ordered\n"
-            "message lists, execute them flow-level on a solver-sized\n"
-            "waferscale switch network and a conventional baseline,\n"
-            "and cross-check every cell against the closed-form\n"
-            "alpha-beta cost model.\n"
-            "\n"
-            "  --ranks 64           participating ranks (one per host;\n"
-            "                       hd/tree need a power of two)\n"
-            "  --collectives ring,hd,tree,alltoall\n"
-            "                       (also: rd, reduce-scatter,\n"
-            "                       all-gather)\n"
-            "  --payloads 1048576   per-rank payload bytes, comma list\n"
-            "  --dcn-topology fat-tree | dragonfly\n"
-            "  --kill-step N        kill a switch/trunk just before\n"
-            "                       step N of every collective\n"
-            "  --kill-trunk         kill a trunk instead of a switch\n"
-            "  --kill-id 0          which switch/trunk dies\n"
-            "  --fabric             also replay the schedules cycle-\n"
-            "                       accurately on the waferscale\n"
-            "                       internal fabric (crosscheck)\n"
-            "  --fabric-payload 65536  per-rank bytes for the cycle-\n"
-            "                       accurate replay (kept small; the\n"
-            "                       fabric sim is ~1e5x slower)\n"
-            "  --plan dp=8,tp=4,pp=2,ep=2\n"
-            "                       also compose an LLM training\n"
-            "                       iteration's collective mix and\n"
-            "                       price it per design (each group\n"
-            "                       priced on a dedicated network —\n"
-            "                       an overlap-free upper bound)\n"
-            "  --params 7e9 --layers 32 --hidden 4096 --tokens 4096\n"
-            "  --microbatches 8 --moe-layers 0 --moe-capacity 1\n"
-            "                       model geometry for --plan\n"
-            "  --ws-ports 0         waferscale radix (0 = run the\n"
-            "                       radix solver with the solve flags)\n"
-            "  --conv-ports 64      conventional switch radix\n"
-            "  --conv-ssc-radix 32  chiplet radix of the baseline\n"
-            "  --profiles dir       profile cache directory, as in\n"
-            "                       `wss dcn` [--calibrate refreshes]\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             recorded in artifacts (the engine\n"
-            "                       itself is deterministic)\n"
-            "  --csv out.csv --json out.json --trace-out run.json\n"
-            "  --stats-out t.csv    re-run the first cell with per-rank\n"
-            "                       per-step telemetry on and dump the\n"
-            "                       collective's Gantt data (long CSV)\n"
-            "  --profile            print the phase self-time table\n"
-            "  --manifest-out m.json  provenance manifest of this run\n"
-            "  plus the solve flags (--substrate, --wsi, ...) and the\n"
-            "  sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
-
-    // Strict by contract (same as WSS_JOBS): a malformed --seed or
-    // --ranks silently coerced would poison every artifact, so
-    // anything but a plain positive decimal integer is fatal.
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        args.has("seed")
-            ? util::parsePositiveInt(args.str("seed", ""), "--seed")
-            : 1);
-    const int ranks = static_cast<int>(
-        args.has("ranks")
-            ? util::parsePositiveInt(args.str("ranks", ""), "--ranks",
-                                     1 << 20)
-            : 64);
-    const int jobs = static_cast<int>(
-        args.has("jobs")
-            ? util::parsePositiveInt(args.str("jobs", ""), "--jobs",
-                                     4096)
-            : exec::ThreadPool::defaultThreads());
-
+    const auto seed = opts.integer<std::uint64_t>("seed");
+    const int ranks = opts.integer<int>("ranks");
+    const int jobs = jobsOf(opts);
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss coll", seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss coll");
-    obs::TraceEventSink *sink = tracing ? &trace : nullptr;
+    Run run(opts, "wss coll", seed, jobs);
+    obs::TraceEventSink *sink = run.trace();
     obs::MetricsRegistry metrics;
-
-    // Waferscale design vs conventional baseline, exactly as in
-    // `wss dcn` (shared profile cache format).
-    core::DesignSpec dspec;
-    dspec.substrate_side = args.num("substrate", 300.0);
-    dspec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    dspec.external_io = parseExternalIo(args.str("ext", "optical"));
-    dspec.ssc = power::tomahawk5(
-        static_cast<int>(args.integer("ssc-config", 1)));
-    const int deradix = static_cast<int>(args.integer("deradix", 1));
-    if (deradix > 1)
-        dspec.ssc = topology::deradixedSsc(dspec.ssc, deradix);
-    dspec.cooling = parseCooling(args.str("cooling", "none"));
-    dspec.topology = core::TopologyKind::Clos;
-    dspec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 2));
-    dspec.seed = seed;
-
-    std::int64_t ws_ports = args.integer("ws-ports", 0);
-    double ws_power = 0.0;
-    if (ws_ports <= 0) {
-        const auto solved = core::RadixSolver(dspec).solveMaxPorts();
-        if (solved.best.ports == 0)
-            fatal("coll: the radix solver found no feasible "
-                  "waferscale design; pin one with --ws-ports");
-        ws_ports = alignPorts(solved.best.ports, dspec.ssc.radix);
-        ws_power = solved.best.power.total();
-        std::cout << "coll: solver sized the waferscale switch at "
-                  << ws_ports << " ports, "
-                  << Table::num(ws_power / 1000.0, 1) << " kW\n";
-    } else {
-        ws_ports = alignPorts(ws_ports, dspec.ssc.radix);
-        ws_power = estimateSwitchPower(args, ws_ports, dspec.ssc);
-    }
-
-    const std::int64_t conv_ports = args.integer("conv-ports", 64);
-    const power::SscConfig conv_ssc = power::scaledSsc(
-        static_cast<int>(args.integer("conv-ssc-radix", 32)),
-        dspec.ssc.line_rate);
-    const std::int64_t conv_aligned =
-        alignPorts(conv_ports, conv_ssc.radix);
-    const double conv_power =
-        estimateSwitchPower(args, conv_aligned, conv_ssc);
-
-    const flow::SwitchProfile ws_profile = dcnProfile(
-        args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, sink, &profiler);
-    const flow::SwitchProfile conv_profile = dcnProfile(
-        args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, sink, &profiler);
+    const DesignPair pair = designPair(opts, "coll", &pool, run);
 
     coll::CollCampaignConfig cfg;
-    cfg.designs = {ws_profile, conv_profile};
-    const std::string kind = args.str("dcn-topology", "fat-tree");
-    if (kind == "fat-tree")
-        cfg.kind = flow::DcnKind::FatTree;
-    else if (kind == "dragonfly")
-        cfg.kind = flow::DcnKind::Dragonfly;
-    else
-        fatal("coll: unknown --dcn-topology '", kind,
-              "' (fat-tree | dragonfly)");
+    cfg.designs = {pair.ws, pair.conv};
+    cfg.kind = dcnKind(opts);
     cfg.ranks = ranks;
     cfg.collectives.clear();
-    for (const auto &name :
-         listFromArgs(args, "collectives", "ring,hd,tree,alltoall"))
-        cfg.collectives.push_back(parseCollSpec(name));
-    cfg.payload_bytes.clear();
-    for (const auto &item : listFromArgs(args, "payloads", "1048576"))
-        cfg.payload_bytes.push_back(std::stod(item));
-    if (args.has("kill-step")) {
-        cfg.fault.at_step =
-            static_cast<int>(args.integer("kill-step", -1));
-        cfg.fault.kill_switch = !args.has("kill-trunk");
-        cfg.fault.id = static_cast<int>(args.integer("kill-id", 0));
-    }
+    for (const auto &name : opts.texts("collectives"))
+        cfg.collectives.push_back(kCollectives.at(name));
+    cfg.payload_bytes = opts.reals("payloads");
+    cfg.fault.at_step = opts.integer<int>("kill-step");
+    cfg.fault.kill_switch = !opts.has("kill-trunk");
+    cfg.fault.id = opts.integer<int>("kill-id");
     cfg.seed = seed;
 
     const coll::CollResult result =
-        coll::CollCampaign(cfg).run(&pool, sink, &profiler);
+        coll::CollCampaign(cfg).run(&pool, sink, &run.profiler);
 
     Table table("wss coll — " + Table::num(cfg.ranks) +
                     " ranks, seed " + Table::num(cfg.seed),
@@ -1426,15 +1031,15 @@ cmdColl(const Args &args)
 
     // Optional cycle-accurate crosscheck: replay each schedule on
     // the waferscale switch's own internal chiplet fabric.
-    if (args.has("fabric")) {
-        const double fab_payload = args.num("fabric-payload", 65536.0);
-        const std::int64_t half = dspec.ssc.radix / 2;
+    if (opts.has("fabric")) {
+        const double fab_payload = opts.real("fabric-payload");
+        const std::int64_t half = pair.spec.ssc.radix / 2;
         const std::int64_t fab_ports =
             std::max<std::int64_t>((ranks + half - 1) / half, 1) * half;
         const topology::LogicalTopology fab = topology::buildFoldedClos(
-            {fab_ports, dspec.ssc,
-             static_cast<int>(args.integer("leaf-split", 1))});
-        const sim::NetworkSpec net_spec = fabricSpecFromArgs(args);
+            {fab_ports, pair.spec.ssc,
+             opts.integer<int>("leaf-split")});
+        const sim::NetworkSpec net_spec = fabricSpec(opts);
         Table fab_table(
             "wss coll — cycle-accurate on '" + fab.name() + "'",
             {"collective", "fabric us", "fabric busbw", "model us",
@@ -1448,11 +1053,10 @@ cmdColl(const Args &args)
             exec_cfg.trace_label = "fabric";
             const coll::CollExecResult fr = coll::executeOnFabric(
                 schedule, fab_payload, fab, net_spec,
-                ws_profile.cycle_seconds, 64.0, exec_cfg);
+                pair.ws.cycle_seconds, 64.0, exec_cfg);
             const coll::CollExecResult mr = coll::executeAlphaBeta(
                 schedule, fab_payload,
-                coll::alphaBetaOf(ws_profile,
-                                  ws_profile.line_rate_gbps, 1));
+                coll::alphaBetaOf(pair.ws, pair.ws.line_rate_gbps, 1));
             fab_table.addRow(
                 {schedule.name(), Table::num(fr.seconds * 1e6, 2),
                  Table::num(fr.busbw_gbps, 1),
@@ -1466,20 +1070,16 @@ cmdColl(const Args &args)
 
     // Optional LLM parallelism plan: what one training iteration's
     // collective mix costs on each design.
-    if (args.has("plan")) {
-        const coll::PlanShape shape =
-            parsePlanShape(args.str("plan", ""));
+    if (opts.has("plan")) {
+        const coll::PlanShape shape = planShape(opts);
         coll::ModelSpec model;
-        model.parameters = args.num("params", 7e9);
-        model.layers = static_cast<int>(args.integer("layers", 32));
-        model.hidden = static_cast<int>(args.integer("hidden", 4096));
-        model.tokens_per_microbatch =
-            static_cast<int>(args.integer("tokens", 4096));
-        model.microbatches =
-            static_cast<int>(args.integer("microbatches", 8));
-        model.moe_layers =
-            static_cast<int>(args.integer("moe-layers", 0));
-        model.moe_capacity = args.num("moe-capacity", 1.0);
+        model.parameters = opts.real("params");
+        model.layers = opts.integer<int>("layers");
+        model.hidden = opts.integer<int>("hidden");
+        model.tokens_per_microbatch = opts.integer<int>("tokens");
+        model.microbatches = opts.integer<int>("microbatches");
+        model.moe_layers = opts.integer<int>("moe-layers");
+        model.moe_capacity = opts.real("moe-capacity");
         const std::vector<coll::PlannedCollective> plan =
             coll::composeTrainingStep(shape, model);
 
@@ -1498,15 +1098,7 @@ cmdColl(const Args &args)
                 const coll::Schedule schedule = coll::buildSchedule(
                     {e.collective, e.algorithm}, e.group_ranks);
                 flow::DcnTopology topo =
-                    cfg.kind == flow::DcnKind::FatTree
-                        ? flow::DcnTopology::buildFatTree(
-                              e.group_ranks,
-                              static_cast<int>(profile.radix),
-                              profile.line_rate_gbps)
-                        : flow::DcnTopology::buildDragonfly(
-                              e.group_ranks,
-                              static_cast<int>(profile.radix),
-                              profile.line_rate_gbps);
+                    buildDcn(cfg.kind, e.group_ranks, profile);
                 coll::CollExecConfig exec_cfg;
                 exec_cfg.metrics = &metrics;
                 const coll::CollExecResult r = coll::executeOnDcn(
@@ -1534,16 +1126,8 @@ cmdColl(const Args &args)
             // Network energy ceiling for the iteration: every switch
             // of a fabric covering all ranks burning its plate power
             // for the whole (overlap-free) collective time.
-            flow::DcnTopology full =
-                cfg.kind == flow::DcnKind::FatTree
-                    ? flow::DcnTopology::buildFatTree(
-                          shape.totalRanks(),
-                          static_cast<int>(profile.radix),
-                          profile.line_rate_gbps)
-                    : flow::DcnTopology::buildDragonfly(
-                          shape.totalRanks(),
-                          static_cast<int>(profile.radix),
-                          profile.line_rate_gbps);
+            const flow::DcnTopology full =
+                buildDcn(cfg.kind, shape.totalRanks(), profile);
             summaries.push_back(
                 profile.name + ": comm " +
                 Table::num(iter_s * 1e3, 2) + " ms/iter, " +
@@ -1558,128 +1142,57 @@ cmdColl(const Args &args)
         for (const auto &line : summaries)
             std::cout << line << "\n";
     }
-
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "coll-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "coll-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
+    run.writeResults(result, "coll");
 
     // Observed run: re-execute the campaign's first cell with
     // per-rank per-step telemetry on and dump the Gantt data.
-    if (args.has("stats-out")) {
-        const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("coll: --stats-out needs a file path");
+    if (opts.has("stats-out")) {
+        const std::string &path = opts.text("stats-out");
         const flow::SwitchProfile &profile = cfg.designs.front();
         const coll::Schedule schedule =
             coll::buildSchedule(cfg.collectives.front(), cfg.ranks);
-        flow::DcnTopology topo =
-            cfg.kind == flow::DcnKind::FatTree
-                ? flow::DcnTopology::buildFatTree(
-                      cfg.ranks, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps)
-                : flow::DcnTopology::buildDragonfly(
-                      cfg.ranks, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps);
         coll::CollExecConfig exec_cfg;
         exec_cfg.telemetry = true;
         exec_cfg.metrics = &metrics;
         exec_cfg.trace = sink;
         exec_cfg.trace_label = "coll-observed";
-        exec_cfg.profiler = &profiler;
+        exec_cfg.profiler = &run.profiler;
         exec_cfg.fault = cfg.fault;
+        flow::DcnTopology topo = buildDcn(cfg.kind, cfg.ranks, profile);
         const coll::CollExecResult observed = coll::executeOnDcn(
-            schedule, cfg.payload_bytes.front(), topo, profile,
-            exec_cfg);
+            schedule, cfg.payload_bytes.front(), topo, profile, exec_cfg);
         observed.telemetry->dumpCsvFile(path);
-        artifacts.note(path, "coll-telemetry");
+        run.note(path, "coll-telemetry");
         std::cout << "telemetry written to " << path << " ("
                   << schedule.name() << ", "
                   << observed.telemetry->steps.size() << " steps, "
                   << observed.messages << " messages)\n";
     }
-
-    finishProfile(args, profiler, sink);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("coll: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss coll", seed, jobs, artifacts,
-                      profiler);
+    run.finish();
     return 0;
 }
 
 int
-cmdReport(const Args &args)
+cmdReport(const Opts &opts)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss report --manifest run.manifest.json [--flags]\n"
-            "\n"
-            "Render one run's provenance manifest and telemetry\n"
-            "artifacts as a self-contained Markdown report (plus a\n"
-            "machine-readable JSON twin): run identity, configuration,\n"
-            "top self-time phases, hottest links over time, per-step\n"
-            "collective breakdown, and a health-check table (artifact\n"
-            "hashes, conservation, telemetry reconciliation).\n"
-            "\n"
-            "  --manifest m.json    manifest to report on (required\n"
-            "                       unless --crash is given)\n"
-            "  --crash crash.json   obs::CrashDump post-mortem to\n"
-            "                       render (reason, event counters,\n"
-            "                       per-thread phase stacks and last\n"
-            "                       flight-recorder events)\n"
-            "  --out report.md      Markdown output path\n"
-            "  --json report.json   also write the JSON twin\n"
-            "  --top-phases 12      rows in the self-time table\n"
-            "  --top-links 10       rows in the hottest-links table\n"
-            "  --crash-events 12    events shown per thread in the\n"
-            "                       post-mortem section\n"
-            "  --saturation 0.95    utilization flagged as saturated\n"
-            "\n"
-            "Exit status 1 when any health check fails.\n";
-        return 0;
-    }
-
-    obs::ReportOptions opts;
-    opts.manifest_path = args.str("manifest", "");
-    opts.crash_path = args.str("crash", "");
-    if (opts.manifest_path.empty() && opts.crash_path.empty())
+    obs::ReportOptions report_opts;
+    report_opts.manifest_path = opts.text("manifest");
+    report_opts.crash_path = opts.text("crash");
+    if (report_opts.manifest_path.empty() && report_opts.crash_path.empty())
         fatal("report: --manifest (or --crash) needs a JSON path");
-    opts.top_phases =
-        static_cast<std::size_t>(args.integer("top-phases", 12));
-    opts.top_links =
-        static_cast<std::size_t>(args.integer("top-links", 10));
-    opts.crash_events =
-        static_cast<std::size_t>(args.integer("crash-events", 12));
-    opts.saturation_threshold = args.num("saturation", 0.95);
+    report_opts.top_phases = opts.integer<std::size_t>("top-phases");
+    report_opts.top_links = opts.integer<std::size_t>("top-links");
+    report_opts.crash_events = opts.integer<std::size_t>("crash-events");
+    report_opts.saturation_threshold = opts.real("saturation");
 
-    const obs::RunReport report = obs::buildRunReport(opts);
+    const obs::RunReport report = obs::buildRunReport(report_opts);
 
-    const std::string md_path = args.str("out", "report.md");
+    const std::string &md_path = opts.text("out");
     report.writeMarkdownFile(md_path);
     std::cout << "report written to " << md_path << "\n";
-    if (args.has("json")) {
-        const std::string json_path = args.str("json", "");
-        if (json_path.empty())
-            fatal("report: --json needs a file path");
-        report.writeJsonFile(json_path);
-        std::cout << "JSON written to " << json_path << "\n";
+    if (opts.has("json")) {
+        report.writeJsonFile(opts.text("json"));
+        std::cout << "JSON written to " << opts.text("json") << "\n";
     }
 
     std::size_t passed = 0;
@@ -1696,9 +1209,9 @@ cmdReport(const Args &args)
 }
 
 int
-cmdPlan(const Args &args)
+cmdPlan(const Opts &opts)
 {
-    const core::DesignSpec spec = specFromArgs(args);
+    const core::DesignSpec spec = solveSpec(opts);
     const auto result = core::RadixSolver(spec).solveMaxPorts();
     const auto &best = result.best;
     if (best.ports == 0)
@@ -1734,50 +1247,146 @@ cmdPlan(const Args &args)
     return 0;
 }
 
-void
-usage()
+/// Every subcommand with its flag table.
+std::vector<Command>
+commands()
 {
-    std::cout <<
-        "usage: wss <subcommand> [--flags]\n"
-        "\n"
-        "  solve   --substrate 300 --wsi siif2x --ext optical\n"
-        "          --topology clos --cooling water --hetero 4\n"
-        "          --deradix 1 --ssc-config 1 [--ideal]\n"
-        "  sim     --ports 512 --pattern uniform --packet-flits 1\n"
-        "          --vcs 16 --buffer 64 [--adaptive]\n"
-        "          [--stats-out stats.csv --rate 0.7 --obs-sample 100]\n"
-        "  sweep   --jobs 8 --patterns uniform,tornado,shuffle\n"
-        "          --points 9 --max-rate 0.9 [--geometric\n"
-        "          --min-rate 0.05] --reps 1 (sim flags)\n"
-        "          [--csv out.csv --json out.json --trace-out run.json]\n"
-        "  trace   --app lulesh --ranks 512 --duplicate 4 --out t.trc\n"
-        "  yield   --chiplets 96 --die-area 800 --defects 0.1\n"
-        "  resilience  --ports 256,512 --densities 0.1,0.3\n"
-        "          --spares 0,1,2 --samples 500 [--sim-samples 4]\n"
-        "          --jobs 8 [--csv out.csv --json out.json\n"
-        "          --trace-out run.json]\n"
-        "          (run `wss resilience --help` for all flags)\n"
-        "  dcn     --hosts 1024 --flows 100000 --loads 0.3,0.7\n"
-        "          --workloads websearch,hadoop --dcn-topology\n"
-        "          fat-tree --jobs 8 [--calibrate --profiles dir]\n"
-        "          [--csv out.csv --json out.json]\n"
-        "          (run `wss dcn --help` for all flags)\n"
-        "  coll    --ranks 64 --collectives ring,hd,tree,alltoall\n"
-        "          --payloads 1048576 [--fabric]\n"
-        "          [--plan dp=8,tp=4,pp=2,ep=2] --jobs 8\n"
-        "          [--csv out.csv --json out.json]\n"
-        "          (run `wss coll --help` for all flags)\n"
-        "  report  --manifest run.manifest.json --out report.md\n"
-        "          [--json report.json --crash crash.json]\n"
-        "          (run `wss report --help` for all flags)\n"
-        "  plan    (solve flags) -> power delivery/cooling/enclosure\n"
-        "\n"
-        "Most subcommands also take --profile (phase self-time table)\n"
-        "and --manifest-out m.json (provenance manifest, the input to\n"
-        "`wss report`). Campaign-shaped subcommands (sim, sweep,\n"
-        "resilience, dcn, coll) additionally take the observability\n"
-        "flags --flight-recorder [N], --crash-dump crash.json,\n"
-        "--watchdog SECONDS and --progress.\n";
+    const cli::Flag ports = {"ports", Int, "Clos ports", "512", 1, 1e6};
+    const cli::Flag packet = {"packet-flits", Int, "packet flits", "1", 1,
+                              1024};
+    // The calibration sweeps of `dcn` and `coll` are short and reach
+    // further into saturation than a `sim` sweep.
+    const std::map<std::string, std::string> pair_defaults = {
+        {"restarts", "2"}, {"points", "5"}, {"max-rate", "0.95"}};
+    return {
+        {"solve", "size the maximum-radix switch for a design point",
+         cli::table({kDesign, kSolve}), cmdSolve},
+        {"sim", "latency-vs-load sweep on a waferscale Clos fabric",
+         cli::table(
+             {{ports,
+               {"pattern", Text, "traffic pattern", "uniform"},
+               packet,
+               {"stats-out", Path, "router/link counters of one more run"},
+               {"rate", Real, "its load (default: max-rate)", "", 0.001, 1},
+               {"obs-sample", Int, "its time series step (0 = none)", "0",
+                0, 1e9}},
+              kFabric, kRates, {kGeometric}, kObs}),
+         cmdSim},
+        {"sweep", "parallel multi-pattern sweep campaign (--jobs N)",
+         cli::table({{ports,
+                      {"patterns", Texts, "traffic patterns", "uniform"},
+                      packet,
+                      {"reps", Int, "repetitions per point", "1", 1, 1000},
+                      kJobs},
+                     kFabric, kRates, {kGeometric}, kObs, kOutputs}),
+         cmdSweep},
+        {"trace", "generate (and save) a synthetic mini-app message trace",
+         cli::table({{{"app", Text, "mini-app", "lulesh"},
+                      {"ranks", Int, "ranks", "512", 1, 1e6},
+                      {"iterations", Int, "iterations", "8", 1, 1e6},
+                      {"period", Int, "cycles per iteration", "600", 1, 1e9},
+                      {"message-flits", Int, "base message flits", "8", 1,
+                       1e6},
+                      {"duplicate", Int, "tile the trace N times", "1", 1,
+                       1024},
+                      {"out", Path, "save the trace here"},
+                      kSeed}}),
+         cmdTrace},
+        {"yield", "manufacturing-yield analysis of a chiplet assembly",
+         cli::table({{{"chiplets", Int, "chiplet sockets", "96", 1, 1e6},
+                      {"die-area", Real, "die area (mm^2)", "800", 1, 1e5},
+                      {"defects", Real, "defects per cm^2", "0.1", 0, 100},
+                      {"bond-yield", Real, "bond yield", "0.999", 0, 1},
+                      {"substrate", Real, "monolithic wafer side (mm)",
+                       "300", 1, 1000}}}),
+         cmdYield},
+        {"resilience", "Monte-Carlo defect/spare/degraded-mode campaign",
+         cli::table(
+             {{{"ports", Ints, "switch radices", "256", 2, 1e6},
+               {"densities", Reals, "defects per cm^2", "0.1,0.3", 0, 100},
+               {"spares", Ints, "spare-SSC counts", "0,1,2", 0, 1024},
+               {"ssc-radix", Int, "chiplet radix", "64", 2, 4096},
+               {"line-rate", Real, "SSC line rate (Gbps)", "200", 1, 1e5},
+               {"samples", Int, "defect maps per cell", "500", 1, 1e9},
+               {"sim-samples", Int, "maps also simulated", "0", 0, 1e9},
+               {"sim-rate", Real, "their offered load", "0.9", 0.001, 1},
+               {"packet-flits", Int, "packet flits", "4", 1, 1024},
+               {"bond-yield", Real, "bond yield", "0.999", 0, 1},
+               {"test-escape", Real, "KGD test escapes", "0.05", 0, 1},
+               {"node-fail", Real, "SSC field failures", "0.002", 0, 1},
+               {"link-fail", Real, "link field failures", "0.0005", 0, 1},
+               kJobs},
+              kFabric, kObs, kOutputs}),
+         cmdResilience},
+        {"dcn", "flow-level DCN comparison, waferscale vs conventional",
+         cli::table(
+             {{{"hosts", Int, "endpoints to cover", "1024", 2, 1e8},
+               {"flows", Int, "flows per cell", "100000", 1, 1e9},
+               {"workloads", Texts, "websearch | hadoop | fixed | incast",
+                "websearch"},
+               {"loads", Reals, "loads (of host bw)", "0.3,0.7", 0.001, 1},
+               {"node-fail", Real, "switch failures (mid-run)", "0", 0, 1},
+               {"stats-out", Path, "windowed link telemetry of cell 1"},
+               {"telemetry-window", Real, "its window (s, 0 = auto)", "0",
+                0, 1e6},
+               kJobs},
+              kPair, kDesign, kFabric, kRates, kObs, kOutputs},
+             pair_defaults),
+         cmdDcn},
+        {"coll", "collective comparison, waferscale vs conventional",
+         cli::table(
+             {{{"ranks", Int, "ranks (hd/tree: power of two)", "64", 1,
+                1 << 20},
+               {"collectives", Texts, "collectives", "ring,hd,tree,alltoall",
+                0, 0, collectiveNames()},
+               {"payloads", Reals, "per-rank bytes", "1048576", 1, 1e15},
+               {"kill-step", Int, "kill before step N", "-1", -1, 1e9},
+               {"kill-trunk", Switch, "kill a trunk, not a switch"},
+               {"kill-id", Int, "which switch/trunk dies", "0", 0, 1e9},
+               {"fabric", Switch, "replay on the waferscale fabric too"},
+               {"fabric-payload", Real, "its per-rank bytes", "65536", 1,
+                1e12},
+               {"leaf-split", Int, "its Clos leaf split", "1", 1, 64},
+               {"plan", Texts, "dp=8,tp=4,pp=2,ep=2: price an LLM iteration"},
+               {"params", Real, "--plan parameters", "7e9", 1, 1e15},
+               {"layers", Int, "--plan layers", "32", 1, 1e6},
+               {"hidden", Int, "--plan hidden size", "4096", 1, 1e9},
+               {"tokens", Int, "--plan tokens/microbatch", "4096", 1, 1e9},
+               {"microbatches", Int, "--plan microbatches", "8", 1, 1e6},
+               {"moe-layers", Int, "--plan MoE layers", "0", 0, 1e6},
+               {"moe-capacity", Real, "--plan MoE capacity", "1", 0.001,
+                1000},
+               {"stats-out", Path, "per-rank step telemetry of cell 1"},
+               kJobs},
+              kPair, kDesign, kFabric, kRates, kObs, kOutputs},
+             pair_defaults),
+         cmdColl},
+        {"report",
+         "render a run's manifest as Markdown (exit 1 on a failed check)",
+         cli::table(
+             {{{"manifest", Text, "manifest to report on"},
+               {"crash", Text, "crash post-mortem to render"},
+               {"out", Path, "Markdown output", "report.md"},
+               {"json", Path, "JSON twin"},
+               {"top-phases", Int, "self-time rows", "12", 0, 1e6},
+               {"top-links", Int, "hottest-link rows", "10", 0, 1e6},
+               {"crash-events", Int, "events per thread", "12", 0, 1e6},
+               {"saturation", Real, "saturated utilization", "0.95", 0,
+                1}}}),
+         cmdReport},
+        {"plan", "full system plan (power delivery / cooling / enclosure)",
+         cli::table({kDesign, kSolve}), cmdPlan},
+    };
+}
+
+void
+usage(const std::vector<Command> &cmds)
+{
+    std::cout << "usage: wss <subcommand> [--flags]\n\n";
+    for (const Command &cmd : cmds)
+        std::cout << "  " << std::left << std::setw(12) << cmd.name
+                  << cmd.about << "\n";
+    std::cout << "\nRun `wss <subcommand> --help` for the flags of each.\n";
 }
 
 } // namespace
@@ -1785,32 +1394,11 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-    const std::string cmd = argv[1];
-    const Args args(argc, argv, 2);
-    if (cmd == "solve")
-        return cmdSolve(args);
-    if (cmd == "sim")
-        return cmdSim(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "trace")
-        return cmdTrace(args);
-    if (cmd == "yield")
-        return cmdYield(args);
-    if (cmd == "resilience")
-        return cmdResilience(args);
-    if (cmd == "dcn")
-        return cmdDcn(args);
-    if (cmd == "coll")
-        return cmdColl(args);
-    if (cmd == "report")
-        return cmdReport(args);
-    if (cmd == "plan")
-        return cmdPlan(args);
-    usage();
-    return cmd == "help" || cmd == "--help" ? 0 : 1;
+    const std::vector<Command> cmds = commands();
+    const std::string name = argc < 2 ? "" : argv[1];
+    for (const Command &cmd : cmds)
+        if (cmd.name == name)
+            return cmd.run(Opts(cmd, argc, argv, 2));
+    usage(cmds);
+    return name == "help" || name == "--help" ? 0 : 1;
 }
