@@ -11,31 +11,13 @@
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace wss::coll {
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
+using util::jsonEscape;
 
 } // namespace
 

@@ -1,32 +1,24 @@
 #include "coll/execute.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <vector>
 
 #include "flow/flow_sim.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/simulator.hpp"
 #include "trace/coll_lowering.hpp"
 #include "trace/trace_workload.hpp"
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::coll {
 
 namespace {
 
-/// Shortest round-trip decimal form (SimObservation::dumpCsv idiom).
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
+using util::formatDouble;
 
 /// Shared result assembly: bandwidth figures from (schedule,
 /// payload, completion time).
@@ -198,11 +190,11 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
 
     for (int step = 0; step < schedule.steps; ++step) {
         obs::ScopedPhase step_phase(cfg.profiler, "step");
-        // Step boundary mark + heartbeat: a collective hung inside a
-        // step names the step in the stall dump. Purely passive.
+        // Step boundary mark (the watchdog's heartbeat): a
+        // collective hung inside a step names the step in the stall
+        // dump. Purely passive.
         obs::recordEvent(obs::EventKind::SimEpoch, step, schedule.steps,
                          schedule.name());
-        obs::heartbeat();
         if (cfg.fault.at_step == step) {
             if (cfg.fault.kill_switch)
                 topo.setSwitchAlive(cfg.fault.id, false);
@@ -356,7 +348,6 @@ executeOnFabric(const Schedule &schedule, double payload_bytes,
     sim_cfg.drain_limit = 0;
     obs::recordEvent(obs::EventKind::SimEpoch, schedule.steps,
                      payload_flits, schedule.name());
-    obs::heartbeat();
     sim::Simulator sim(net, workload, sim_cfg);
     const sim::SimResult r = sim.run();
     if (!r.stable)

@@ -13,40 +13,14 @@
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
+#include "util/text.hpp"
 
 namespace wss::exec {
 
 namespace {
 
-double
-elapsedSeconds(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
+using util::jsonEscape;
+using util::elapsedSeconds;
 
 } // namespace
 
@@ -142,8 +116,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     }
 
     // Liveness/progress plumbing (flight recorder + watchdog): all
-    // of it is passive — events and heartbeats never feed back into
-    // the cells, so results stay bit-identical with it on or off.
+    // of it is passive — events never feed back into the cells, so
+    // results stay bit-identical with it on or off.
     obs::Watchdog::setProgressTotal(cells.size());
 
     const auto runCell = [&](std::int64_t index) {
@@ -151,30 +125,21 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const Entry &entry =
             entries_[static_cast<std::size_t>(cell.job)];
         const int prof_slot = pool ? pool->workerSlot() : 0;
-        if (obs::FlightRecorder::enabled() ||
-            obs::Watchdog::heartbeatsEnabled()) {
-            const std::string label =
-                (!pool || prof_slot == pool->size())
-                    ? "caller"
-                    : "worker-" + std::to_string(prof_slot);
-            obs::FlightRecorder::attachCurrentThread(label);
-            obs::Watchdog::registerCurrentThread(label);
-            obs::Watchdog::markThreadActive();
-            obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
-                             entry.name);
-            if (obs::Watchdog::heartbeatsEnabled()) {
-                std::string detail = entry.name;
-                if (entry.is_sweep) {
-                    char point[48];
-                    std::snprintf(
-                        point, sizeof point, " rep %d rate %.3g",
-                        cell.repetition,
-                        entry.sweep.rates[static_cast<std::size_t>(
-                            cell.rate_index)]);
-                    detail += point;
-                }
-                obs::Watchdog::setThreadDetail(detail);
+        attachToFlightRecorder(pool);
+        obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
+                         entry.name);
+        if (obs::FlightRecorder::enabled()) {
+            std::string detail = entry.name;
+            if (entry.is_sweep) {
+                char point[48];
+                std::snprintf(
+                    point, sizeof point, " rep %d rate %.3g",
+                    cell.repetition,
+                    entry.sweep.rates[static_cast<std::size_t>(
+                        cell.rate_index)]);
+                detail += point;
             }
+            obs::FlightRecorder::setThreadDetail(detail);
         }
         obs::ScopedPhase cell_phase(
             profiler
@@ -229,7 +194,7 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         obs::Watchdog::addProgressDone();
         // Idle between cells: a drained queue must not read as a
         // stalled worker.
-        obs::Watchdog::markThreadIdle();
+        obs::FlightRecorder::markThreadIdle();
     };
     if (pool)
         pool->parallelFor(static_cast<std::int64_t>(cells.size()),

@@ -5,23 +5,13 @@
 #include <utility>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
+#include "util/text.hpp"
 
 namespace wss::exec {
 
-namespace {
-
-double
-elapsedSeconds(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
+using util::elapsedSeconds;
 
 SweepRunner::SweepRunner(SweepJob job) : job_(std::move(job))
 {
@@ -47,7 +37,6 @@ SweepRunner::runPoint(int repetition, int rate_index) const
         obs::EventKind::DesignPoint, repetition, rate_index,
         "rate " +
             std::to_string(job_.rates[static_cast<std::size_t>(rate_index)]));
-    obs::heartbeat();
 
     PointOutcome outcome;
     outcome.repetition = repetition;
@@ -83,16 +72,7 @@ SweepRunner::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const int rep = static_cast<int>(index / rates);
         const int ri = static_cast<int>(index % rates);
         const int slot = pool ? pool->workerSlot() : 0;
-        if (obs::FlightRecorder::enabled() ||
-            obs::Watchdog::heartbeatsEnabled()) {
-            const std::string label =
-                (!pool || slot == pool->size())
-                    ? "caller"
-                    : "worker-" + std::to_string(slot);
-            obs::FlightRecorder::attachCurrentThread(label);
-            obs::Watchdog::registerCurrentThread(label);
-            obs::Watchdog::markThreadActive();
-        }
+        attachToFlightRecorder(pool);
         const std::int64_t ts = trace ? trace->nowMicros() : 0;
         obs::ScopedPhase cell_phase(
             profiler ? &worker_prof[static_cast<std::size_t>(slot)]
@@ -110,7 +90,7 @@ SweepRunner::run(ThreadPool *pool, obs::TraceEventSink *trace,
                  obs::TraceArg::num(
                      "rate",
                      job_.rates[static_cast<std::size_t>(ri)])});
-        obs::Watchdog::markThreadIdle();
+        obs::FlightRecorder::markThreadIdle();
     };
     if (pool)
         pool->parallelFor(reps * rates, runCell);

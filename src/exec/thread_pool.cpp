@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <string>
 
+#include "obs/flight_recorder.hpp"
 #include "util/logging.hpp"
 
 namespace wss::exec {
@@ -13,7 +15,7 @@ namespace {
 
 /// Identity of the current thread within a pool (workerSlot()).
 thread_local const ThreadPool *tl_pool = nullptr;
-thread_local int tl_slot = -1;
+thread_local int tl_worker_slot = -1;
 
 } // namespace
 
@@ -43,7 +45,19 @@ ThreadPool::~ThreadPool()
 int
 ThreadPool::workerSlot() const
 {
-    return tl_pool == this ? tl_slot : size();
+    return tl_pool == this ? tl_worker_slot : size();
+}
+
+void
+attachToFlightRecorder(const ThreadPool *pool)
+{
+    if (!obs::FlightRecorder::enabled())
+        return;
+    const int slot = pool ? pool->workerSlot() : 0;
+    obs::FlightRecorder::attachCurrentThread(
+        !pool || slot == pool->size() ? "caller"
+                                      : "worker-" + std::to_string(slot));
+    obs::FlightRecorder::markThreadActive();
 }
 
 int
@@ -132,7 +146,7 @@ void
 ThreadPool::workerLoop(int id)
 {
     tl_pool = this;
-    tl_slot = id;
+    tl_worker_slot = id;
     while (!stop_.load(std::memory_order_acquire)) {
         if (tryRunOne(id))
             continue;

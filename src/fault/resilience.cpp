@@ -15,10 +15,13 @@
 #include "util/logging.hpp"
 #include "util/seed.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace wss::fault {
 
 namespace {
+
+using util::jsonEscape;
 
 // Seed-derivation offsets keeping the map stream (indices
 // [0, samples)) disjoint from the simulation streams of the same
@@ -26,28 +29,6 @@ namespace {
 // count.
 constexpr std::uint64_t kHealthySimStream = 0xe5f1u << 16;
 constexpr std::uint64_t kDegradedSimStream = 0xd3a7u << 16;
-
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 /// Accepted uniform-traffic throughput of @p topo at cfg.sim_rate
 /// (flits/terminal/cycle). Fabrics with fewer than two terminals

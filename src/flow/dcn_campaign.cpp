@@ -11,35 +11,17 @@
 #include "util/logging.hpp"
 #include "util/seed.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace wss::flow {
 
 namespace {
 
+using util::jsonEscape;
+
 /// Seed-stream offset keeping fault sampling disjoint from workload
 /// generation within one cell.
 constexpr std::uint64_t kFaultStream = 0xfa17u << 16;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 } // namespace
 

@@ -1,7 +1,6 @@
 #include "flow/flow_sim.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -9,27 +8,19 @@
 
 #include "flow/waterfill.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
+#include "util/text.hpp"
 
 namespace wss::flow {
 
 namespace {
 
+using util::formatDouble;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Shortest round-trip decimal form (same idiom as
-/// SimObservation::dumpCsv), so telemetry CSVs are bit-identical
-/// across runs and lossless to parse back.
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
 /// Residual bytes below which a transfer counts as delivered —
 /// far under one byte yet far above the fp error of advancing a
 /// multi-megabyte flow to its own completion instant.
@@ -437,14 +428,14 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     };
 
     // --- event loop ----------------------------------------------
-    // Liveness marks: one heartbeat + epoch event every kEpochBatch
-    // event batches (never per flow), so the watchdog can tell a
-    // slow 100k-flow cell from a hung one. Purely passive.
+    // Liveness marks: one epoch event (the watchdog's heartbeat)
+    // every kEpochBatch event batches (never per flow), so the
+    // watchdog can tell a slow 100k-flow cell from a hung one.
+    // Purely passive.
     constexpr std::uint64_t kEpochBatch = 2048;
     std::uint64_t batches = 0;
     while (i_arr < flows.size() || !active.empty()) {
         if (++batches % kEpochBatch == 0) {
-            obs::heartbeat();
             obs::recordEvent(obs::EventKind::SimEpoch,
                              static_cast<std::int64_t>(i_arr),
                              static_cast<std::int64_t>(active.size()),

@@ -3,8 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -13,10 +11,14 @@
 #include "topology/clos.hpp"
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::flow {
 
 namespace {
+
+using util::jsonNumber;
+using util::jsonEscape;
 
 /// Interpolate @p points (plus the implicit (0, zero_load) anchor)
 /// at @p offered, reading the latency via @p get.
@@ -184,37 +186,6 @@ class JsonReader
     std::string text_;
     std::size_t pos_ = 0;
 };
-
-/// Full-precision double that round-trips bit-exactly.
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 } // namespace
 

@@ -4,10 +4,12 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
 #include "obs/flight_recorder.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 namespace {
@@ -161,9 +163,7 @@ writeThread(SafeWriter &w, ThreadRing *ring)
     w.u64(written);
     w.raw(", \"open_phases\": [");
     const int depth = ring->phaseDepth();
-    const int named = depth < ThreadRing::kMaxPhaseDepth
-                          ? depth
-                          : ThreadRing::kMaxPhaseDepth;
+    const int named = std::min(depth, ThreadRing::kMaxPhaseDepth);
     for (int p = 0; p < named; ++p) {
         if (p > 0)
             w.raw(", ");
@@ -172,11 +172,8 @@ writeThread(SafeWriter &w, ThreadRing *ring)
     w.raw("], \"open_phase_depth\": ");
     w.i64(depth);
     w.raw(", \"events\": [");
-    std::uint64_t window = kDumpEvents;
-    if (window > ring->capacity())
-        window = ring->capacity();
-    if (window > written)
-        window = written;
+    const std::uint64_t window = std::min<std::uint64_t>(
+        {kDumpEvents, ring->capacity(), written});
     for (std::uint64_t k = 0; k < window; ++k) {
         const FlightEvent &e = ring->slot(written - window + k);
         if (k > 0)
@@ -184,11 +181,7 @@ writeThread(SafeWriter &w, ThreadRing *ring)
         w.raw("{\"t_s\": ");
         w.seconds(e.t);
         w.raw(", \"kind\": ");
-        const EventKind kind =
-            e.kind < static_cast<std::uint16_t>(EventKind::kCount)
-                ? static_cast<EventKind>(e.kind)
-                : EventKind::kCount;
-        w.str(eventKindName(kind), 24);
+        w.str(eventKindName(static_cast<EventKind>(e.kind)), 24);
         w.raw(", \"a\": ");
         w.i64(e.a);
         w.raw(", \"b\": ");
@@ -217,10 +210,7 @@ CrashDump::install(const std::string &path)
 {
     if (g_installed.exchange(true, std::memory_order_acq_rel))
         return;
-    const std::size_t n =
-        path.size() < sizeof(g_path) - 1 ? path.size() : sizeof(g_path) - 1;
-    std::memcpy(g_path, path.data(), n);
-    g_path[n] = '\0';
+    util::copyTruncated(g_path, sizeof(g_path), path);
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = &crashSignalHandler;
@@ -238,10 +228,7 @@ CrashDump::installed()
 void
 CrashDump::setTool(std::string_view tool)
 {
-    const std::size_t n =
-        tool.size() < sizeof(g_tool) - 1 ? tool.size() : sizeof(g_tool) - 1;
-    std::memcpy(g_tool, tool.data(), n);
-    g_tool[n] = '\0';
+    util::copyTruncated(g_tool, sizeof(g_tool), tool);
 }
 
 void

@@ -1,16 +1,17 @@
 #include "obs/flight_recorder.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <mutex>
 
 #include "obs/crash_dump.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using util::copyTruncated;
 
 constexpr std::size_t kMaxRings = 256;
 constexpr std::size_t kMinCapacity = 16;
@@ -30,12 +31,10 @@ std::mutex g_attach_mutex;
 std::atomic<std::uint64_t>
     g_kind_counts[static_cast<std::size_t>(EventKind::kCount)]{};
 
-void
-copyTruncated(char *dst, std::size_t cap, std::string_view src)
+double
+secondsSinceEnable()
 {
-    const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
-    dst[n] = '\0';
+    return std::chrono::duration<double>(Clock::now() - g_epoch).count();
 }
 
 /// util/logging.hpp bridge: record the event, and on panic()/fatal()
@@ -67,14 +66,11 @@ obsLogEventHook(wss::detail::LogEvent event, const char *msg)
 
 namespace frdetail {
 
-thread_local ThreadRing *tl_ring = nullptr;
-
 void
 recordSlow(ThreadRing *ring, EventKind kind, std::int64_t a, std::int64_t b,
            std::string_view tag)
 {
-    const double t = std::chrono::duration<double>(Clock::now() - g_epoch)
-                         .count();
+    const double t = secondsSinceEnable();
     g_kind_counts[static_cast<std::size_t>(kind)].fetch_add(
         1, std::memory_order_relaxed);
     ring->record(kind, t, a, b, tag);
@@ -103,8 +99,10 @@ eventKindName(EventKind kind)
     return "unknown";
 }
 
-ThreadRing::ThreadRing(std::string_view label, std::size_t capacity)
-    : slots_(new FlightEvent[capacity]), capacity_(capacity)
+ThreadRing::ThreadRing(std::string_view label, std::size_t capacity,
+                       double t)
+    : slots_(new FlightEvent[capacity]), capacity_(capacity),
+      active_since_(t)
 {
     copyTruncated(label_, sizeof(label_), label);
 }
@@ -142,6 +140,29 @@ ThreadRing::popPhase()
         phase_depth_.store(depth - 1, std::memory_order_release);
 }
 
+double
+ThreadRing::lastBeat() const
+{
+    const double since = active_since_.load(std::memory_order_acquire);
+    const std::uint64_t n = written();
+    const double newest = n > 0 ? slot(n - 1).t : 0.0;
+    return newest > since ? newest : since;
+}
+
+void
+ThreadRing::setDetail(std::string_view detail)
+{
+    std::lock_guard<std::mutex> lock(detail_mutex_);
+    copyTruncated(detail_, sizeof(detail_), detail);
+}
+
+std::string
+ThreadRing::detail() const
+{
+    std::lock_guard<std::mutex> lock(detail_mutex_);
+    return detail_;
+}
+
 void
 FlightRecorder::enable(std::size_t capacity)
 {
@@ -172,7 +193,7 @@ FlightRecorder::attachCurrentThread(std::string_view label)
                       " threads) — further threads record nothing");
         return;
     }
-    ThreadRing *ring = new ThreadRing(label, g_capacity);
+    ThreadRing *ring = new ThreadRing(label, g_capacity, now());
     g_rings[i].store(ring, std::memory_order_release);
     g_ring_count.store(i + 1, std::memory_order_release);
     frdetail::tl_ring = ring;
@@ -182,6 +203,29 @@ void
 FlightRecorder::detachCurrentThread()
 {
     frdetail::tl_ring = nullptr;
+}
+
+void
+FlightRecorder::setThreadDetail(std::string_view detail)
+{
+    if (ThreadRing *ring = frdetail::tl_ring) {
+        ring->setDetail(detail);
+        frdetail::recordSlow(ring, EventKind::Heartbeat, 0, 0, detail);
+    }
+}
+
+void
+FlightRecorder::markThreadIdle()
+{
+    if (ThreadRing *ring = frdetail::tl_ring)
+        ring->markIdle();
+}
+
+void
+FlightRecorder::markThreadActive()
+{
+    if (ThreadRing *ring = frdetail::tl_ring)
+        ring->markActive(secondsSinceEnable());
 }
 
 std::size_t
@@ -206,9 +250,7 @@ FlightRecorder::kindCount(EventKind kind)
 double
 FlightRecorder::now()
 {
-    if (!enabled())
-        return 0.0;
-    return std::chrono::duration<double>(Clock::now() - g_epoch).count();
+    return enabled() ? secondsSinceEnable() : 0.0;
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
  * Process-wide flight recorder: per-thread lock-free rings of
- * compact binary events, drained into crash post-mortems.
+ * compact binary events, drained into crash post-mortems and read by
+ * the liveness watchdog.
  *
  * Phases 1-2 of the observability stack (metrics, traces, profiler,
  * manifests, reports) describe runs that *finish*. The flight
@@ -13,6 +14,13 @@
  * watchdog stall, or a SIGSEGV can dump "what was every thread doing
  * just now" instead of a bare abort (see obs::CrashDump).
  *
+ * The ring is the only per-thread record of the process. Besides the
+ * events it carries the thread's liveness: its newest event is the
+ * thread's heartbeat (written() is the beat count), an active/idle
+ * flag, and a free-text detail ("fig21 rep 2 rate 0.80"). The
+ * obs::Watchdog monitor and the --progress line read all three
+ * through FlightRecorder::ring(i); there is no second registry.
+ *
  * The contract mirrors obs::MetricsRegistry / obs::Profiler:
  *
  *   - disabled (the default) costs one predicted branch per
@@ -23,11 +31,12 @@
  *     the recorder on or off (ctest-asserted, FlightRecorder suite);
  *   - each ring has exactly one writer (its owning thread), so the
  *     hot path takes no lock: a slot is written, then the count is
- *     release-stored. Readers that stay >= capacity events behind the
- *     writer (tests, the watchdog's stall dump) see fully published
- *     slots; only the crash-time dump may observe a torn slot in the
- *     ring position being overwritten at the instant of the crash,
- *     which is an acceptable price for a wait-free writer.
+ *     release-stored. Readers see fully published slots as long as
+ *     they stay less than capacity events behind the writer: the
+ *     watchdog reads the newest slot and an 8-event tail at most once
+ *     per poll. Only the crash-time dump may observe a torn slot in
+ *     the ring position being overwritten at the instant of the
+ *     crash, which is an acceptable price for a wait-free writer.
  *
  * Threads attach lazily at cold call sites (campaign workers, CLI
  * main); attaching is idempotent and a no-op while the recorder is
@@ -42,6 +51,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <string>
 #include <string_view>
 
 namespace wss::obs {
@@ -58,13 +69,15 @@ enum class EventKind : std::uint16_t {
     FaultInjection,   ///< A fault transition was applied (tag = target).
     ArtifactWrite,    ///< An artifact file was written (tag = path tail).
     WarnOnce,         ///< A WSS_WARN_ONCE call site fired (tag = message head).
-    Heartbeat,        ///< Watchdog heartbeat detail change (tag = detail).
+    Heartbeat,        ///< Thread detail change (tag = detail head).
     Panic,            ///< panic() fired (tag = message head).
     Fatal,            ///< fatal() fired (tag = message head).
     kCount
 };
 
-/// Stable lower_snake_case name of @p kind ("job_start", ...).
+/// Stable lower_snake_case name of @p kind ("job_start", ...);
+/// "unknown" for any raw value outside the enum (a torn crash-time
+/// slot), so readers may cast FlightEvent::kind unchecked.
 const char *eventKindName(EventKind kind);
 
 /// One recorded event. Compact POD: rings are arrays of these, and
@@ -81,18 +94,20 @@ struct FlightEvent
 };
 
 /**
- * One thread's event ring plus its open-profiler-phase stack.
- * Single writer (the owning thread); see file comment for the
- * reader contract. Never freed once registered, so crash-time
- * readers cannot chase a dangling pointer.
+ * One thread's event ring, its open-profiler-phase stack and its
+ * liveness (active flag, detail). Single writer (the owning thread);
+ * see file comment for the reader contract. Never freed once
+ * registered, so crash-time readers cannot chase a dangling pointer.
  */
 class ThreadRing
 {
   public:
     static constexpr int kMaxPhaseDepth = 16;
     static constexpr int kPhaseNameCap = 48;
+    static constexpr std::size_t kDetailCap = 96;
 
-    ThreadRing(std::string_view label, std::size_t capacity);
+    /// A new ring is active since @p t (seconds since enable()).
+    ThreadRing(std::string_view label, std::size_t capacity, double t);
     ~ThreadRing();
     ThreadRing(const ThreadRing &) = delete;
     ThreadRing &operator=(const ThreadRing &) = delete;
@@ -136,6 +151,28 @@ class ThreadRing
     /// NUL-terminated name of open phase @p i (< kMaxPhaseDepth).
     const char *phaseName(int i) const { return phase_names_[i]; }
 
+    /// Mark the thread active since @p t / idle (waiting for work).
+    void markActive(double t)
+    {
+        active_since_.store(t, std::memory_order_release);
+    }
+    void markIdle() { active_since_.store(-1.0, std::memory_order_release); }
+
+    /// False once the thread declared itself idle; idle threads are
+    /// never stall culprits.
+    bool active() const
+    {
+        return active_since_.load(std::memory_order_acquire) >= 0.0;
+    }
+
+    /// The thread's last sign of life: its newest event, or the
+    /// moment it (re)turned active if that is later.
+    double lastBeat() const;
+
+    /// What the thread is working on (cold; mutex-guarded).
+    void setDetail(std::string_view detail);
+    std::string detail() const;
+
   private:
     FlightEvent *slots_ = nullptr;
     std::size_t capacity_ = 0;
@@ -143,13 +180,23 @@ class ThreadRing
     char label_[32] = {};
     std::atomic<int> phase_depth_{0};
     char phase_names_[kMaxPhaseDepth][kPhaseNameCap] = {};
+    /// Seconds since enable() the thread went active; < 0 while idle.
+    std::atomic<double> active_since_;
+    mutable std::mutex detail_mutex_;
+    char detail_[kDetailCap] = {};
 };
 
 namespace frdetail {
 
 /// Null while this thread is detached or the recorder is disabled —
-/// the one predicted branch of the disabled contract.
-extern thread_local ThreadRing *tl_ring;
+/// the one predicted branch of the disabled contract. Defined inline
+/// with a constant initializer, so callers read it directly instead
+/// of through the init wrapper an `extern thread_local` needs (a
+/// weak `_ZTH` call behind a test): recordEvent stays one TLS load
+/// and one branch, and GCC's UBSan null check of the wrapper's
+/// result, which misfired on a flag the wrapper left behind, is
+/// gone with it.
+inline constinit thread_local ThreadRing *tl_ring = nullptr;
 
 /// Slow path: timestamp, per-kind counter bump, ring write.
 void recordSlow(ThreadRing *ring, EventKind kind, std::int64_t a,
@@ -174,14 +221,26 @@ class FlightRecorder
 
     static bool enabled();
 
-    /// Register the calling thread under @p label. No-op when the
-    /// recorder is disabled or the thread is already attached.
-    /// Cold: takes a mutex, allocates the ring.
+    /// Register the calling thread under @p label; its ring starts
+    /// active. No-op when the recorder is disabled or the thread is
+    /// already attached. Cold: takes a mutex, allocates the ring.
     static void attachCurrentThread(std::string_view label);
 
     /// Forget this thread's ring pointer (the ring itself stays
     /// registered for post-mortems).
     static void detachCurrentThread();
+
+    /// Describe what the calling thread is working on ("fig21 rep 2
+    /// rate 0.80"): kept whole (up to ThreadRing::kDetailCap) for
+    /// the watchdog and recorded as an EventKind::Heartbeat event.
+    /// Cold; no-op on a detached thread.
+    static void setThreadDetail(std::string_view detail);
+
+    /// Mark the calling thread idle (waiting for work) / active.
+    /// Idle threads are never stall culprits, and a thread that
+    /// turns active counts as freshly alive.
+    static void markThreadIdle();
+    static void markThreadActive();
 
     /// Registered rings, in attach order. ring(i) stays valid until
     /// resetForTesting(); readers follow the ThreadRing contract.

@@ -7,6 +7,7 @@
 #include "obs/trace_event.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 
@@ -71,10 +72,7 @@ Profiler::exit()
     if (stack_.empty())
         panic("Profiler: exit() without a matching enter()");
     const OpenPhase &top = stack_.back();
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      top.start)
-            .count();
+    const double elapsed = util::elapsedSeconds(top.start);
     PhaseStats &stats = phases_[top.path];
     stats.calls += 1;
     stats.seconds += elapsed;

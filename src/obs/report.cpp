@@ -2,58 +2,24 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <iomanip>
-#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "obs/run_manifest.hpp"
 #include "util/artifact.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
-hexString(std::uint64_t v)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
+using util::jsonEscape;
+using util::jsonNumber;
+using util::hexString;
 
 /// Directory part of @p path ("." when it has none).
 std::string
@@ -149,12 +115,11 @@ resolveArtifact(const ManifestArtifact &entry,
         manifest_dir + "/" + baseName(entry.path),
     };
     for (const std::string &candidate : candidates) {
-        std::ifstream is(candidate, std::ios::binary);
-        if (!is)
+        std::optional<std::string> content =
+            util::readArtifactFile(candidate);
+        if (!content)
             continue;
-        std::ostringstream buffer;
-        buffer << is.rdbuf();
-        out.content = buffer.str();
+        out.content = std::move(*content);
         out.resolved_path = candidate;
         out.hash_ok = out.content.size() == entry.bytes &&
                       RunManifest::hashBytes(out.content) == entry.hash;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
-#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,50 +11,15 @@
 #include "util/artifact.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-/// Hashes render as fixed-width hex strings: 64-bit values do not
-/// survive a round-trip through JSON numbers (doubles).
-std::string
-hexString(std::uint64_t v)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
+using util::jsonEscape;
+using util::jsonNumber;
+using util::hexString;
 
 std::uint64_t
 parseHex(const std::string &text, std::string_view what)
@@ -95,6 +58,13 @@ writeIdentityMembers(std::ostream &os, const std::string &tool,
     os << (first ? "}" : "\n  }") << ",\n  \"artifacts\": [";
     // Identity must not depend on the order artifacts were recorded
     // in (parallel writers) nor on where they live on disk.
+    // A timed artifact's bytes and hash vary between identical runs,
+    // so the identity keeps only its kind (and sorts it by kind
+    // alone); the file keeps all three for `wss report`.
+    if (!with_paths)
+        for (ManifestArtifact &a : artifacts)
+            if (a.timed)
+                a.bytes = a.hash = 0;
     std::sort(artifacts.begin(), artifacts.end(),
               [](const ManifestArtifact &a, const ManifestArtifact &b) {
                   if (a.kind != b.kind)
@@ -108,9 +78,13 @@ writeIdentityMembers(std::ostream &os, const std::string &tool,
         os << (i ? ",\n" : "\n") << "    {";
         if (with_paths)
             os << "\"path\": \"" << jsonEscape(a.path) << "\", ";
-        os << "\"kind\": \"" << jsonEscape(a.kind)
-           << "\", \"bytes\": " << a.bytes << ", \"hash\": \""
-           << hexString(a.hash) << "\"}";
+        os << "\"kind\": \"" << jsonEscape(a.kind) << "\"";
+        if (with_paths || !a.timed)
+            os << ", \"bytes\": " << a.bytes << ", \"hash\": \""
+               << hexString(a.hash) << "\"";
+        if (a.timed)
+            os << ", \"timed\": true";
+        os << "}";
     }
     os << (artifacts.empty() ? "]" : "\n  ]");
 }
@@ -160,21 +134,20 @@ RunManifest::setJobs(int jobs)
 }
 
 void
-RunManifest::addArtifact(const std::string &path, std::string kind)
+RunManifest::addArtifact(const std::string &path, std::string kind,
+                         bool timed)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    const std::optional<std::string> content = util::readArtifactFile(path);
+    if (!content)
         fatal("RunManifest: cannot read artifact '", path,
               "' for hashing (was it written?)");
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    const std::string content = buffer.str();
 
     ManifestArtifact artifact;
     artifact.path = path;
     artifact.kind = std::move(kind);
-    artifact.bytes = content.size();
-    artifact.hash = hashBytes(content);
+    artifact.bytes = content->size();
+    artifact.hash = hashBytes(*content);
+    artifact.timed = timed;
     artifacts_.push_back(std::move(artifact));
 }
 
@@ -271,6 +244,8 @@ RunManifest::loadJsonFile(const std::string &path)
             entry.require("bytes", what).asNumber(what));
         artifact.hash =
             parseHex(entry.require("hash", what).asString(what), what);
+        if (const util::JsonValue *timed = entry.find("timed"))
+            artifact.timed = timed->asBool(what);
         manifest.artifacts_.push_back(std::move(artifact));
     }
 

@@ -16,7 +16,11 @@
  *   - the *identity* (tool, config, seed, jobs, artifact kinds +
  *     content hashes) is timestamp-free and canonically serialized,
  *     so two identical runs produce byte-identical identity sections
- *     and equal identityHash() values (ctest-asserted);
+ *     and equal identityHash() values (ctest-asserted). An artifact
+ *     whose content carries wall-clock (a trace, a campaign summary
+ *     with timing columns) is noted as *timed* and enters the
+ *     identity by kind only; its hash and size stay in the
+ *     inventory for `wss report`'s re-hash check;
  *   - the *timing* section (per-phase wall seconds) varies run to
  *     run and is excluded from the hash.
  *
@@ -52,6 +56,9 @@ struct ManifestArtifact
     std::uint64_t bytes = 0;
     /// FNV-1a 64 of the content.
     std::uint64_t hash = 0;
+    /// The content carries wall-clock, so only the kind enters the
+    /// identity (bytes and hash would differ between identical runs).
+    bool timed = false;
 };
 
 /// One aggregated phase timing carried into the manifest.
@@ -90,8 +97,10 @@ class RunManifest
 
     /// Inventory @p path (reading and hashing its current content);
     /// fatal() when the file cannot be read — an artifact that was
-    /// claimed but not written is a provenance lie.
-    void addArtifact(const std::string &path, std::string kind);
+    /// claimed but not written is a provenance lie. @p timed marks
+    /// content that carries wall-clock (ManifestArtifact::timed).
+    void addArtifact(const std::string &path, std::string kind,
+                     bool timed = false);
 
     /// Record one phase wall time directly (for runs without a
     /// Profiler).
@@ -119,7 +128,8 @@ class RunManifest
     /**
      * The canonical timestamp-free identity document: tool, sorted
      * config, seed, jobs, and the artifact inventory sorted by
-     * (kind, hash, bytes) with paths omitted. Byte-identical across
+     * (kind, hash, bytes) with paths omitted (and, for timed
+     * artifacts, hash and bytes too). Byte-identical across
      * identical runs.
      */
     std::string identityJson() const;

@@ -1,24 +1,16 @@
 #include "obs/sim_observation.hpp"
 
-#include <charconv>
 #include <ostream>
 
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 
 namespace {
 
-/// Shortest round-trip decimal form, so CSVs are bit-identical
-/// across runs and lossless to parse back.
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
+using util::formatDouble;
 
 /// Split "r3.credit_stalls" into {"r3", "credit_stalls"}; names
 /// without a dot map to scope "-".

@@ -1,39 +1,17 @@
 #include "obs/trace_event.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
+#include "util/text.hpp"
 
 namespace wss::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
+using util::jsonEscape;
 
 void
 writeArgs(std::ostream &os, const std::vector<TraceArg> &args)
@@ -61,10 +39,7 @@ TraceArg::str(std::string key, std::string value)
 TraceArg
 TraceArg::num(std::string key, double value)
 {
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << value;
-    std::string text = os.str();
+    std::string text = util::jsonNumber(value);
     // JSON has no literal for non-finite numbers.
     if (text == "inf" || text == "-inf" || text == "nan" ||
         text == "-nan")

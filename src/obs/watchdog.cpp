@@ -1,8 +1,9 @@
 #include "obs/watchdog.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -12,29 +13,8 @@
 #include "util/logging.hpp"
 
 namespace wss::obs {
-namespace wddetail {
-
-struct HeartbeatSlot
-{
-    std::atomic<std::uint64_t> last_beat_ns{0};
-    std::atomic<std::uint64_t> beats{0};
-    std::atomic<bool> active{false};
-    char label[32] = {};
-    /// Guards detail (written per design point, read per progress
-    /// render — both cold).
-    std::mutex detail_mutex;
-    char detail[96] = {};
-};
-
-thread_local HeartbeatSlot *tl_slot = nullptr;
-
-} // namespace wddetail
-
 namespace {
 
-using wddetail::HeartbeatSlot;
-
-constexpr std::size_t kMaxSlots = 256;
 constexpr std::size_t kProgressLineCap = 156;
 
 std::uint64_t
@@ -45,11 +25,6 @@ nowNs()
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
-
-std::atomic<bool> g_enabled{false};
-std::atomic<HeartbeatSlot *> g_slots[kMaxSlots]{};
-std::atomic<std::size_t> g_slot_count{0};
-std::mutex g_register_mutex;
 
 std::atomic<std::uint64_t> g_progress_total{0};
 std::atomic<std::uint64_t> g_progress_done{0};
@@ -62,12 +37,13 @@ bool g_monitor_running = false;
 bool g_monitor_stop = false;
 std::size_t g_last_line_len = 0;
 
-void
-copyTruncated(char *dst, std::size_t cap, std::string_view src)
+/// Seconds since @p ring's last beat, as of @p now (FlightRecorder
+/// clock).
+double
+ageOf(const ThreadRing &ring, double now)
 {
-    const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
-    dst[n] = '\0';
+    const double age = now - ring.lastBeat();
+    return age > 0.0 ? age : 0.0;
 }
 
 /// Re-render the status line in place (no newline; the next log line
@@ -96,58 +72,45 @@ eraseProgressLine()
     std::cerr << text << std::flush;
 }
 
-/// Stall diagnosis: the heartbeat table plus each flight-recorder
-/// ring's tail (events + open phase stack), one atomic stderr write.
+/// Stall diagnosis: every ring's liveness, open phase stack and
+/// event tail, one atomic stderr write.
 std::string
 renderStallDump()
 {
     std::ostringstream os;
-    os << "watchdog: heartbeat table:\n";
-    for (const HeartbeatSnap &s : Watchdog::snapshot()) {
-        os << "  " << s.label << ": "
-           << (s.active ? "active" : "idle") << ", " << s.beats
-           << " beats, last " << std::fixed;
-        os.precision(2);
-        os << s.age_s << "s ago";
-        if (!s.detail.empty())
-            os << ", on '" << s.detail << "'";
-        os << "\n";
-    }
-    os << "watchdog: flight recorder tails:\n";
+    os << "watchdog: thread rings:\n";
+    const double now = FlightRecorder::now();
     const std::size_t rings = FlightRecorder::ringCount();
-    if (rings == 0)
-        os << "  (flight recorder disabled or no threads attached)\n";
     for (std::size_t i = 0; i < rings; ++i) {
         ThreadRing *ring = FlightRecorder::ring(i);
         if (ring == nullptr)
             continue;
         const std::uint64_t written = ring->written();
-        os << "  " << ring->label() << ": " << written
-           << " events, open phases:";
+        os << "  " << ring->label() << ": "
+           << (ring->active() ? "active" : "idle") << ", " << written
+           << " events, last " << std::fixed;
+        os.precision(2);
+        os << ageOf(*ring, now) << "s ago";
+        const std::string detail = ring->detail();
+        if (!detail.empty())
+            os << ", on '" << detail << "'";
+        os << ", open phases:";
         const int depth = ring->phaseDepth();
-        const int named = depth < ThreadRing::kMaxPhaseDepth
-                              ? depth
-                              : ThreadRing::kMaxPhaseDepth;
+        const int named = std::min(depth, ThreadRing::kMaxPhaseDepth);
         if (named == 0)
             os << " (none)";
         for (int p = 0; p < named; ++p)
             os << (p == 0 ? " " : "/") << ring->phaseName(p);
         os << "\n";
-        std::uint64_t window = 8;
-        if (window > ring->capacity())
-            window = ring->capacity();
-        if (window > written)
-            window = written;
+        const std::uint64_t window =
+            std::min<std::uint64_t>({8, ring->capacity(), written});
         for (std::uint64_t k = 0; k < window; ++k) {
             const FlightEvent &e = ring->slot(written - window + k);
-            const EventKind kind =
-                e.kind < static_cast<std::uint16_t>(EventKind::kCount)
-                    ? static_cast<EventKind>(e.kind)
-                    : EventKind::kCount;
             os << "    t=" << std::fixed;
             os.precision(6);
-            os << e.t << " " << eventKindName(kind) << " a=" << e.a
-               << " b=" << e.b;
+            os << e.t << " "
+               << eventKindName(static_cast<EventKind>(e.kind))
+               << " a=" << e.a << " b=" << e.b;
             if (e.tag[0] != '\0')
                 os << " '" << e.tag << "'";
             os << "\n";
@@ -194,80 +157,6 @@ monitorLoop(double stall_timeout_s, bool progress, double progress_period_s)
 
 } // namespace
 
-namespace wddetail {
-
-void
-beatSlow(HeartbeatSlot *slot)
-{
-    slot->last_beat_ns.store(nowNs(), std::memory_order_relaxed);
-    slot->beats.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace wddetail
-
-void
-Watchdog::enableHeartbeats()
-{
-    g_enabled.store(true, std::memory_order_release);
-}
-
-bool
-Watchdog::heartbeatsEnabled()
-{
-    return g_enabled.load(std::memory_order_acquire);
-}
-
-void
-Watchdog::registerCurrentThread(std::string_view label)
-{
-    if (!heartbeatsEnabled() || wddetail::tl_slot != nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(g_register_mutex);
-    const std::size_t i = g_slot_count.load(std::memory_order_relaxed);
-    if (i >= kMaxSlots) {
-        WSS_WARN_ONCE("watchdog: heartbeat table full (", kMaxSlots,
-                      " threads) — further threads are unmonitored");
-        return;
-    }
-    HeartbeatSlot *slot = new HeartbeatSlot;
-    copyTruncated(slot->label, sizeof(slot->label), label);
-    slot->last_beat_ns.store(nowNs(), std::memory_order_relaxed);
-    slot->active.store(true, std::memory_order_relaxed);
-    g_slots[i].store(slot, std::memory_order_release);
-    g_slot_count.store(i + 1, std::memory_order_release);
-    wddetail::tl_slot = slot;
-}
-
-void
-Watchdog::setThreadDetail(std::string_view detail)
-{
-    HeartbeatSlot *slot = wddetail::tl_slot;
-    if (slot == nullptr)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(slot->detail_mutex);
-        copyTruncated(slot->detail, sizeof(slot->detail), detail);
-    }
-    wddetail::beatSlow(slot);
-    recordEvent(EventKind::Heartbeat, 0, 0, detail);
-}
-
-void
-Watchdog::markThreadIdle()
-{
-    if (HeartbeatSlot *slot = wddetail::tl_slot)
-        slot->active.store(false, std::memory_order_relaxed);
-}
-
-void
-Watchdog::markThreadActive()
-{
-    if (HeartbeatSlot *slot = wddetail::tl_slot) {
-        wddetail::beatSlow(slot);
-        slot->active.store(true, std::memory_order_relaxed);
-    }
-}
-
 void
 Watchdog::setProgressTotal(std::uint64_t total)
 {
@@ -298,7 +187,7 @@ void
 Watchdog::start(double stall_timeout_s, bool progress,
                 double progress_period_s)
 {
-    enableHeartbeats();
+    FlightRecorder::enable();
     std::lock_guard<std::mutex> lock(g_monitor_mutex);
     if (g_monitor_running)
         return;
@@ -330,24 +219,19 @@ std::vector<HeartbeatSnap>
 Watchdog::snapshot()
 {
     std::vector<HeartbeatSnap> out;
-    const std::uint64_t now = nowNs();
-    const std::size_t n = g_slot_count.load(std::memory_order_acquire);
+    const double now = FlightRecorder::now();
+    const std::size_t n = FlightRecorder::ringCount();
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        HeartbeatSlot *slot = g_slots[i].load(std::memory_order_acquire);
-        if (slot == nullptr)
+        const ThreadRing *ring = FlightRecorder::ring(i);
+        if (ring == nullptr)
             continue;
         HeartbeatSnap s;
-        s.label = slot->label;
-        {
-            std::lock_guard<std::mutex> lock(slot->detail_mutex);
-            s.detail = slot->detail;
-        }
-        s.beats = slot->beats.load(std::memory_order_relaxed);
-        const std::uint64_t last =
-            slot->last_beat_ns.load(std::memory_order_relaxed);
-        s.age_s = last <= now ? (now - last) * 1.0e-9 : 0.0;
-        s.active = slot->active.load(std::memory_order_relaxed);
+        s.label = ring->label();
+        s.detail = ring->detail();
+        s.beats = ring->written();
+        s.age_s = ageOf(*ring, now);
+        s.active = ring->active();
         out.push_back(std::move(s));
     }
     return out;
@@ -413,13 +297,6 @@ void
 Watchdog::resetForTesting()
 {
     stop();
-    std::lock_guard<std::mutex> lock(g_register_mutex);
-    wddetail::tl_slot = nullptr;
-    g_enabled.store(false, std::memory_order_release);
-    const std::size_t n = g_slot_count.load(std::memory_order_relaxed);
-    g_slot_count.store(0, std::memory_order_release);
-    for (std::size_t i = 0; i < n; ++i)
-        delete g_slots[i].exchange(nullptr, std::memory_order_acq_rel);
     g_progress_total.store(0, std::memory_order_relaxed);
     g_progress_done.store(0, std::memory_order_relaxed);
 }

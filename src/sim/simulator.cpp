@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 
 namespace wss::sim {
@@ -349,7 +348,6 @@ Simulator::run()
         // cycle, so the hot loop stays at PR-4 speed; long fabric
         // replays still publish progress for the watchdog.
         if ((now & 0xffff) == 0xffff) {
-            obs::heartbeat();
             obs::recordEvent(obs::EventKind::SimEpoch, now,
                              measured_created_ - measured_finished_,
                              "sim-cycle");

@@ -1,6 +1,7 @@
 /**
  * @file
- * Flush-checked artifact file writing.
+ * Flush-checked artifact file writing, and the matching whole-file
+ * read.
  *
  * fatal() terminates via exit(1) without unwinding the stack, so an
  * `std::ofstream` open in an enclosing scope never runs its
@@ -15,6 +16,8 @@
 #define WSS_UTIL_ARTIFACT_HPP
 
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "util/logging.hpp"
@@ -41,6 +44,19 @@ writeArtifactFile(const std::string &path, std::string_view what,
     if (!ok || !os)
         fatal(what, ": error writing '", path, "' (disk full?)");
     detail::notifyLogEvent(detail::LogEvent::Artifact, path.c_str());
+}
+
+/// Whole (binary) content of @p path; nullopt when it cannot be
+/// opened. Callers decide whether a missing file is fatal.
+inline std::optional<std::string>
+readArtifactFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        return std::nullopt;
+    std::ostringstream buffer;
+    buffer << is.rdbuf();
+    return buffer.str();
 }
 
 } // namespace wss::util

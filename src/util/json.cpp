@@ -2,9 +2,9 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
+#include "util/artifact.hpp"
 #include "util/logging.hpp"
 
 namespace wss::util {
@@ -334,12 +334,10 @@ JsonValue::parse(std::string_view text, std::string_view what)
 JsonValue
 JsonValue::parseFile(const std::string &path, std::string_view what)
 {
-    std::ifstream is(path);
-    if (!is)
+    const std::optional<std::string> text = readArtifactFile(path);
+    if (!text)
         fatal(what, ": cannot read '", path, "'");
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return parse(buffer.str(), what);
+    return parse(*text, what);
 }
 
 } // namespace wss::util

@@ -20,7 +20,7 @@
  *       child dereferences nullptr: the async-signal-safe SIGSEGV
  *       handler writes the dump and re-raises.
  *   obs_crash_helper --mode stall --watchdog-timeout 0.2
- *       child registers a heartbeat then sleeps: the watchdog
+ *       child records events on its ring then sleeps: the watchdog
  *       monitor dumps its diagnosis and panic()s naming the culprit.
  */
 
@@ -52,7 +52,8 @@ runDoomed(const std::string &mode, const std::string &crash_path,
           double stall_timeout_s)
 {
     obs::FlightRecorder::enable(128);
-    obs::FlightRecorder::attachCurrentThread("main");
+    obs::FlightRecorder::attachCurrentThread(mode == "stall" ? "sleeper"
+                                                             : "main");
     if (!crash_path.empty()) {
         obs::CrashDump::install(crash_path);
         obs::CrashDump::setTool("obs_crash_helper " + mode);
@@ -73,11 +74,10 @@ runDoomed(const std::string &mode, const std::string &crash_path,
         return *p; // SIGSEGV -> CrashDump handler -> re-raise
     }
     if (mode == "stall") {
-        obs::Watchdog::enableHeartbeats();
-        obs::Watchdog::registerCurrentThread("sleeper");
-        obs::Watchdog::setThreadDetail("sleeping instead of working");
+        obs::FlightRecorder::setThreadDetail(
+            "sleeping instead of working");
         obs::Watchdog::start(stall_timeout_s, false, 0.01);
-        // Never beats again: the monitor thread must notice within
+        // Records nothing more: the monitor thread must notice within
         // the (sub-second) timeout and abort the process.
         std::this_thread::sleep_for(std::chrono::seconds(60));
     }

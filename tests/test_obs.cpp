@@ -1186,7 +1186,8 @@ TEST(RunManifest, IdentityTracksConfigSeedAndContent)
         m->setConfig("arg.hosts", static_cast<std::int64_t>(64));
         m->setSeed(7);
         m->setJobs(1);
-        m->addArtifact(path, "campaign-csv");
+        // A deterministic kind: its content enters the identity.
+        m->addArtifact(path, "flow-telemetry");
         return m;
     };
 
@@ -1207,6 +1208,46 @@ TEST(RunManifest, IdentityTracksConfigSeedAndContent)
 
     std::remove(base.c_str());
     std::remove(changed.c_str());
+}
+
+TEST(RunManifest, TimedArtifactEntersTheIdentityByKindOnly)
+{
+    // A trace or campaign summary carries wall-clock: its bytes
+    // differ between identical runs, and so must not its identity.
+    const std::string a = writeTempFile("wss_manifest_timed_a.json",
+                                        "{\"wall_seconds\": 1.5}\n");
+    const std::string b = writeTempFile("wss_manifest_timed_b.json",
+                                        "{\"wall_seconds\": 12.25}\n");
+
+    auto make = [&](const std::string &path, const std::string &kind) {
+        auto m = std::make_unique<RunManifest>("wss test");
+        m->setSeed(7);
+        m->setJobs(1);
+        m->addArtifact(path, kind, /*timed=*/true);
+        return m;
+    };
+    const auto m1 = make(a, "campaign-json");
+    EXPECT_EQ(m1->identityHash(), make(b, "campaign-json")->identityHash());
+    EXPECT_EQ(m1->identityJson().find("\"hash\""), std::string::npos);
+    // The kind still counts.
+    EXPECT_NE(m1->identityHash(), make(a, "trace")->identityHash());
+
+    // The inventory keeps hash and size for `wss report`, and the
+    // timed mark survives the file round trip with the identity.
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "wss_manifest_timed.json")
+                                 .string();
+    m1->writeJsonFile(path);
+    const RunManifest loaded = RunManifest::loadJsonFile(path);
+    ASSERT_EQ(loaded.artifacts().size(), 1u);
+    EXPECT_TRUE(loaded.artifacts()[0].timed);
+    EXPECT_EQ(loaded.artifacts()[0].hash,
+              RunManifest::hashBytes("{\"wall_seconds\": 1.5}\n"));
+    EXPECT_EQ(loaded.identityHash(), m1->identityHash());
+
+    std::remove(path.c_str());
+    std::remove(a.c_str());
+    std::remove(b.c_str());
 }
 
 TEST(RunManifest, MissingArtifactDiesLoudly)
@@ -1515,8 +1556,6 @@ TEST(FlightRecorder, SimResultsAreBitIdenticalWithRecorderOnOrOff)
 
     FlightRecorder::enable(256);
     FlightRecorder::attachCurrentThread("sim");
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("sim");
     const sim::SimResult on_result = run();
     // The instrumented run actually recorded something…
     EXPECT_GT(FlightRecorder::kindCount(EventKind::SimEpoch), 0u);
@@ -1551,9 +1590,7 @@ TEST(FlightRecorder, CampaignResultsAreBitIdenticalWithRecorderOnOrOff)
 
     FlightRecorder::enable(512);
     FlightRecorder::attachCurrentThread("main");
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("main");
-    Watchdog::markThreadIdle();
+    FlightRecorder::markThreadIdle();
     exec::Campaign traced;
     traced.addSweep("uniform", tinySweepJob());
     exec::ThreadPool pool_on(2);
@@ -1589,42 +1626,47 @@ TEST(FlightRecorder, CampaignResultsAreBitIdenticalWithRecorderOnOrOff)
 TEST(Watchdog, HeartbeatIsANoOpWhileUnregistered)
 {
     ObsReset guard;
-    heartbeat(); // must not crash, must not register anything
-    Watchdog::registerCurrentThread("ignored"); // disabled -> no-op
-    EXPECT_FALSE(Watchdog::heartbeatsEnabled());
+    // Detached thread, recorder off: every liveness call is a no-op
+    // and nothing registers.
+    recordEvent(EventKind::SimEpoch);
+    FlightRecorder::setThreadDetail("ignored");
+    FlightRecorder::markThreadActive();
+    FlightRecorder::markThreadIdle();
+    FlightRecorder::attachCurrentThread("ignored"); // disabled -> no-op
+    EXPECT_FALSE(FlightRecorder::enabled());
     EXPECT_TRUE(Watchdog::snapshot().empty());
 }
 
 TEST(Watchdog, SnapshotTracksBeatsDetailAndIdleState)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("worker-0");
-    Watchdog::setThreadDetail("uniform rep 1 rate 0.4");
-    heartbeat();
-    heartbeat();
+    FlightRecorder::enable(64);
+    FlightRecorder::attachCurrentThread("worker-0");
+    FlightRecorder::setThreadDetail("uniform rep 1 rate 0.4");
+    recordEvent(EventKind::SimEpoch);
+    recordEvent(EventKind::SimEpoch);
 
     auto snaps = Watchdog::snapshot();
     ASSERT_EQ(snaps.size(), 1u);
     EXPECT_EQ(snaps[0].label, "worker-0");
     EXPECT_EQ(snaps[0].detail, "uniform rep 1 rate 0.4");
-    // register + setThreadDetail + 2 explicit beats
+    // setThreadDetail's heartbeat event + 2 explicit events
     EXPECT_GE(snaps[0].beats, 3u);
     EXPECT_TRUE(snaps[0].active);
     EXPECT_LT(snaps[0].age_s, 5.0);
 
-    Watchdog::markThreadIdle();
+    FlightRecorder::markThreadIdle();
     EXPECT_FALSE(Watchdog::snapshot()[0].active);
-    Watchdog::markThreadActive();
+    FlightRecorder::markThreadActive();
     EXPECT_TRUE(Watchdog::snapshot()[0].active);
 }
 
 TEST(Watchdog, CheckStallsNamesTheCulpritAndSparesIdleThreads)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("worker-3");
-    Watchdog::setThreadDetail("fig21 rep 2 rate 0.8");
+    FlightRecorder::enable(64);
+    FlightRecorder::attachCurrentThread("worker-3");
+    FlightRecorder::setThreadDetail("fig21 rep 2 rate 0.8");
     EXPECT_EQ(Watchdog::checkStalls(10.0), "");
 
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -1633,11 +1675,11 @@ TEST(Watchdog, CheckStallsNamesTheCulpritAndSparesIdleThreads)
     EXPECT_NE(culprit.find("no heartbeat"), std::string::npos);
     EXPECT_NE(culprit.find("fig21 rep 2 rate 0.8"), std::string::npos);
 
-    // A fresh beat clears the stall…
-    heartbeat();
+    // A fresh event clears the stall…
+    recordEvent(EventKind::SimEpoch);
     EXPECT_EQ(Watchdog::checkStalls(1.0), "");
     // …and an idle thread is never a culprit, however stale.
-    Watchdog::markThreadIdle();
+    FlightRecorder::markThreadIdle();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(Watchdog::checkStalls(0.001), "");
 }
@@ -1645,14 +1687,14 @@ TEST(Watchdog, CheckStallsNamesTheCulpritAndSparesIdleThreads)
 TEST(Watchdog, ProgressLineReportsJobsAndActiveWorkers)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
+    FlightRecorder::enable(64);
     Watchdog::setProgressTotal(40);
     Watchdog::addProgressDone(12);
     EXPECT_EQ(Watchdog::progressTotal(), 40u);
     EXPECT_EQ(Watchdog::progressDone(), 12u);
 
-    Watchdog::registerCurrentThread("worker-1");
-    Watchdog::setThreadDetail("tornado rep 0 rate 0.7");
+    FlightRecorder::attachCurrentThread("worker-1");
+    FlightRecorder::setThreadDetail("tornado rep 0 rate 0.7");
     const std::string line = Watchdog::renderProgressLine();
     EXPECT_NE(line.find("jobs 12/40"), std::string::npos);
     EXPECT_NE(line.find("30.0%"), std::string::npos);
@@ -1660,7 +1702,7 @@ TEST(Watchdog, ProgressLineReportsJobsAndActiveWorkers)
               std::string::npos);
 
     // Idle workers drop off the line.
-    Watchdog::markThreadIdle();
+    FlightRecorder::markThreadIdle();
     EXPECT_EQ(Watchdog::renderProgressLine().find("worker-1"),
               std::string::npos);
 }
@@ -1670,10 +1712,83 @@ TEST(Watchdog, MonitorThreadStartsAndStopsCleanly)
     ObsReset guard;
     Watchdog::start(0.0, false, 0.01); // no stall arm, no progress
     Watchdog::start(0.0, false, 0.01); // idempotent while running
-    EXPECT_TRUE(Watchdog::heartbeatsEnabled());
+    EXPECT_TRUE(FlightRecorder::enabled());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     Watchdog::stop();
     Watchdog::stop(); // idempotent when stopped
+}
+
+TEST(Watchdog, StartTurnsTheRecorderOn)
+{
+    ObsReset guard;
+    ASSERT_FALSE(FlightRecorder::enabled());
+    Watchdog::start(0.0, false, 0.01);
+    EXPECT_TRUE(FlightRecorder::enabled());
+    // The monitor reads rings, so a thread attached after start is
+    // one the watchdog sees.
+    FlightRecorder::attachCurrentThread("late");
+    ASSERT_EQ(Watchdog::snapshot().size(), 1u);
+    EXPECT_EQ(Watchdog::snapshot()[0].label, "late");
+    Watchdog::stop();
+}
+
+TEST(Watchdog, RecordEventRefreshesTheAge)
+{
+    ObsReset guard;
+    FlightRecorder::enable(64);
+    FlightRecorder::attachCurrentThread("busy");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const double stale_age = Watchdog::snapshot()[0].age_s;
+    EXPECT_GE(stale_age, 0.04);
+    EXPECT_NE(Watchdog::checkStalls(0.01), "");
+
+    // Any event on the thread is its heartbeat: age and beat count
+    // both move, no separate liveness call needed.
+    recordEvent(EventKind::SimEpoch, 1, 2, "sim-cycle");
+    const HeartbeatSnap s = Watchdog::snapshot()[0];
+    EXPECT_LT(s.age_s, stale_age);
+    EXPECT_EQ(s.beats, 1u);
+    EXPECT_EQ(Watchdog::checkStalls(1.0), "");
+}
+
+TEST(Watchdog, IdleAttachedRingIsNeverACulprit)
+{
+    ObsReset guard;
+    FlightRecorder::enable(64);
+    FlightRecorder::attachCurrentThread("waiting");
+    recordEvent(EventKind::JobFinish);
+    FlightRecorder::markThreadIdle();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(Watchdog::checkStalls(0.001), "");
+
+    // Turning active counts as a fresh beat: a thread that waited
+    // longer than the timeout is not a culprit the moment it wakes.
+    FlightRecorder::markThreadActive();
+    EXPECT_EQ(Watchdog::checkStalls(0.5), "");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_NE(Watchdog::checkStalls(0.001).find("waiting"),
+              std::string::npos);
+}
+
+TEST(Watchdog, LongDetailSurvivesWholeInTheProgressLine)
+{
+    ObsReset guard;
+    FlightRecorder::enable(64);
+    FlightRecorder::attachCurrentThread("worker-0");
+    // Longer than the 30-char event tag, shorter than the detail cap.
+    const std::string detail =
+        "clos2048/uniform/adaptive rep 3 rate 0.675 buffer 32";
+    ASSERT_GT(detail.size(), sizeof(FlightEvent{}.tag));
+    FlightRecorder::setThreadDetail(detail);
+
+    EXPECT_NE(Watchdog::renderProgressLine().find("worker-0 " + detail),
+              std::string::npos);
+    EXPECT_EQ(Watchdog::snapshot()[0].detail, detail);
+    // The event stream keeps only the truncated head.
+    ThreadRing *ring = FlightRecorder::ring(0);
+    const FlightEvent &e = ring->slot(ring->written() - 1);
+    EXPECT_EQ(e.kind, static_cast<std::uint16_t>(EventKind::Heartbeat));
+    EXPECT_EQ(std::string(e.tag), detail.substr(0, sizeof(e.tag) - 1));
 }
 
 // ---------------------------------------------------------------------
@@ -1866,9 +1981,7 @@ TEST(CrashDumpDiesLoudly, WatchdogStallAbortsNamingTheCulprit)
         {
             FlightRecorder::enable(64);
             FlightRecorder::attachCurrentThread("sleeper");
-            Watchdog::enableHeartbeats();
-            Watchdog::registerCurrentThread("sleeper");
-            Watchdog::setThreadDetail("pretending to work");
+            FlightRecorder::setThreadDetail("pretending to work");
             Watchdog::start(0.05, false, 0.01);
             std::this_thread::sleep_for(std::chrono::seconds(10));
         },

@@ -8,15 +8,17 @@
 #      the `tsan` CMake preset), so every change to the thread pool /
 #      sweep runner / resilience fan-out / metrics merge is
 #      race-checked, and
-#   3. an AddressSanitizer build of the simulator core running the
+#   3. an AddressSanitizer + UndefinedBehaviorSanitizer build (any
+#      UB report is fatal) of the simulator core running the
 #      bit-exact determinism suite plus the channel-ring and latency
 #      tests of test_sim (the `asan` preset), so flit-pool
 #      lifetime or ring-buffer indexing bugs introduced by hot-path
 #      work die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
 #      under ASan (the reporter parses untrusted CSV/JSON, so its
-#      string handling runs heap-checked), and the strict flag
-#      parser's failure and --help smokes under ASan,
+#      string handling runs heap-checked), a recorder + watchdog +
+#      progress sweep and a fault-reroute coll run, and the strict
+#      flag parser's failure and --help smokes under ASan,
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
 #      perf numbers themselves are tracked in bench_results/) and
@@ -110,6 +112,25 @@ build-asan/tools/wss report --manifest "$ASAN_TMP/coll.manifest.json" \
 python3 -m json.tool "$ASAN_TMP/report.json" > /dev/null
 rm -rf "$ASAN_TMP"
 echo "asan report pipeline green"
+
+echo "== asan+ubsan: observability stack and fault reroute end to end =="
+# The asan preset also builds with -fsanitize=undefined
+# -fno-sanitize-recover=undefined, so any UB report aborts the run.
+# These two command lines once reported UB: copyTruncated's memcpy
+# from a null empty tag (recorder + watchdog + progress + crash dump
+# on a parallel sweep), and the thread_local ring pointer read from a
+# pool worker after a mid-collective switch kill (recorder off).
+UB_TMP="$(mktemp -d)"
+build-asan/tools/wss sweep --ports 128 --patterns uniform --measure 1000 \
+    --points 3 --jobs 2 --progress --watchdog 30 --flight-recorder \
+    --crash-dump "$UB_TMP/sweep_crash.json" > /dev/null
+test ! -s "$UB_TMP/sweep_crash.json"
+build-asan/tools/wss coll --ws-ports 256 --conv-ports 64 \
+    --cal-ports 64 --points 2 --ranks 8 --payloads 65536 \
+    --warmup 200 --measure 500 --drain 3000 --jobs 2 \
+    --kill-step 1 --dcn-topology dragonfly > /dev/null
+rm -rf "$UB_TMP"
+echo "asan+ubsan observability smokes green"
 
 echo "== asan: strict flag parsing and generated help =="
 # The flag-table parser handles untrusted argv, so its failure and
@@ -251,7 +272,7 @@ python3 tools/bench_compare.py "$OBS_TMP/BENCH_dcn_a.json" \
     "$OBS_TMP/BENCH_dcn_b.json" --require-identical --max-regress 100
 
 echo "== watchdog smoke: stalled worker diagnosed in under a second =="
-# The helper forks a worker that registers a heartbeat and then
+# The helper forks a worker that records events on its ring and then
 # sleeps; the watchdog must dump its diagnosis and abort within the
 # 0.2 s timeout. The helper exits 0 only when the death matched.
 build/tests/obs_crash_helper --mode stall --watchdog-timeout 0.2
@@ -270,8 +291,9 @@ grep -q "## Post-mortem" "$OBS_TMP/crash_report.md"
 echo "crash post-mortem pipeline green"
 
 echo "== progress smoke: campaign with the live status line =="
-# --progress and --watchdog ride the same heartbeat registry as the
-# stall detector; a healthy run must finish cleanly with both armed.
+# --progress and --watchdog read the same flight-recorder rings as
+# the stall detector (a thread's newest event is its heartbeat); a
+# healthy run must finish cleanly with both armed.
 build/tools/wss sweep --ports 128 --patterns uniform --measure 1000 \
     --points 3 --jobs 2 --progress --watchdog 30 --flight-recorder \
     --crash-dump "$OBS_TMP/sweep_crash.json" > /dev/null

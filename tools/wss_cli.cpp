@@ -188,11 +188,9 @@ class Run
         }
         monitoring_ = opts.has("watchdog") || opts.has("progress");
         if (monitoring_) {
-            obs::Watchdog::enableHeartbeats();
-            // Main mostly waits on workers; register it idle so a
-            // long fan-out phase never reads as a main-thread stall.
-            obs::Watchdog::registerCurrentThread("main");
-            obs::Watchdog::markThreadIdle();
+            // Main mostly waits on workers; mark it idle so a long
+            // fan-out phase never reads as a main-thread stall.
+            obs::FlightRecorder::markThreadIdle();
             obs::Watchdog::start(
                 opts.has("watchdog") ? opts.real("watchdog") : 0.0,
                 opts.has("progress"));
@@ -211,25 +209,32 @@ class Run
     /// The --trace-out sink; null when the run is not traced.
     obs::TraceEventSink *trace() { return tracing_ ? &trace_ : nullptr; }
 
-    /// Inventory a file this run wrote for the manifest.
-    void note(const std::string &path, const std::string &kind)
+    /// Inventory a file this run wrote for the manifest; @p timed
+    /// when its content carries wall-clock, so it enters the
+    /// identity by kind only.
+    void note(const std::string &path, const std::string &kind,
+              bool timed = false)
     {
         if (opts_.has("manifest-out"))
-            manifest_.addArtifact(path, kind);
+            manifest_.addArtifact(path, kind, timed);
     }
 
-    /// --csv / --json of a campaign result (kinds <kind>-csv/-json).
+    /// --csv / --json of a campaign result (kinds <kind>-csv/-json),
+    /// both noted as timed: every JSON and the sweep campaign's CSV
+    /// carry wall-clock. The resilience, dcn and coll CSVs do not,
+    /// but their content follows from the config and seed the
+    /// identity already holds.
     template <class Result>
     void writeResults(const Result &result, const std::string &kind)
     {
         if (opts_.has("csv")) {
             result.writeCsvFile(opts_.text("csv"));
-            note(opts_.text("csv"), kind + "-csv");
+            note(opts_.text("csv"), kind + "-csv", true);
             std::cout << "CSV written to " << opts_.text("csv") << "\n";
         }
         if (opts_.has("json")) {
             result.writeJsonFile(opts_.text("json"));
-            note(opts_.text("json"), kind + "-json");
+            note(opts_.text("json"), kind + "-json", true);
             std::cout << "JSON written to " << opts_.text("json") << "\n";
         }
     }
@@ -243,7 +248,7 @@ class Run
             if (!profiler.phases().empty())
                 profiler.addToTrace(trace_, trace_.allocateTrack("profile"));
             trace_.writeFile(path);
-            note(path, "trace");
+            note(path, "trace", true);
             std::cout << "trace written to " << path << " ("
                       << trace_.size()
                       << " events; open in Perfetto / chrome://tracing)\n";
