@@ -19,8 +19,8 @@
 #ifndef WSS_BENCH_COMMON_HPP
 #define WSS_BENCH_COMMON_HPP
 
+#include <climits>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -31,16 +31,19 @@
 #include "tech/external_io.hpp"
 #include "tech/wsi.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace wss::bench {
 
-/// Integer environment knob with default.
+/// Positive integer environment knob with default; a malformed or
+/// out-of-range value is fatal() naming the variable.
 inline int
 envInt(const char *name, int fallback)
 {
     const char *value = std::getenv(name);
-    return value ? std::atoi(value) : fallback;
+    return value ? static_cast<int>(util::parseInt(value, name, 1, INT_MAX))
+                 : fallback;
 }
 
 /// True when WSS_BENCH_FAST is set (shrunken simulation phases).
@@ -83,28 +86,32 @@ benchJobs()
     return exec::ThreadPool::defaultThreads();
 }
 
+/// Write @p result's CSV / JSON artifacts where the environment asks
+/// (WSS_BENCH_CSV / WSS_BENCH_JSON), through its flush-checked
+/// writeCsvFile / writeJsonFile.
+template <class Result>
+void
+writeBenchArtifacts(const Result &result, const char *what)
+{
+    if (const char *path = std::getenv("WSS_BENCH_CSV")) {
+        result.writeCsvFile(path);
+        inform(what, " CSV written to ", path);
+    }
+    if (const char *path = std::getenv("WSS_BENCH_JSON")) {
+        result.writeJsonFile(path);
+        inform(what, " JSON written to ", path);
+    }
+}
+
 /**
  * Write the campaign's timing artifacts where the environment asks
- * (WSS_BENCH_CSV / WSS_BENCH_JSON) and print the one-line timing
- * summary every converted figure bench reports.
+ * and print the one-line timing summary every converted figure bench
+ * reports.
  */
 inline void
 reportCampaign(const exec::CampaignResult &result)
 {
-    if (const char *path = std::getenv("WSS_BENCH_CSV")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeCsv(os);
-        inform("campaign CSV written to ", path);
-    }
-    if (const char *path = std::getenv("WSS_BENCH_JSON")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeJson(os);
-        inform("campaign JSON written to ", path);
-    }
+    writeBenchArtifacts(result, "campaign");
     double busy = 0.0;
     for (const auto &job : result.jobs)
         busy += job.seconds;

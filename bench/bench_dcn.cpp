@@ -21,6 +21,7 @@
  */
 
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "bench_common.hpp"

@@ -58,20 +58,7 @@ main()
     }
     table.print(std::cout);
 
-    if (const char *path = std::getenv("WSS_BENCH_CSV")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeCsv(os);
-        inform("resilience CSV written to ", path);
-    }
-    if (const char *path = std::getenv("WSS_BENCH_JSON")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeJson(os);
-        inform("resilience JSON written to ", path);
-    }
+    bench::writeBenchArtifacts(result, "resilience");
 
     std::cout << "\n[campaign] " << result.cells.size() << " cells on "
               << result.threads << " threads, wall "

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "exec/sweep_runner.hpp"
 #include "sim/load_sweep.hpp"
 #include "topology/clos.hpp"
 #include "util/logging.hpp"
@@ -54,14 +55,18 @@ main(int argc, char **argv)
     cfg.measure = 4000;
     cfg.drain_limit = 20000;
 
-    const auto sweep = sim::sweepLoad(
-        [&] { return std::make_unique<sim::Network>(topo, spec, 7); },
-        [&](double rate) {
-            return std::make_unique<sim::SyntheticWorkload>(
-                sim::makeTraffic(pattern, static_cast<int>(ports)),
-                rate, packet);
-        },
-        sim::linearRates(0.9, 9), cfg);
+    exec::SweepJob job;
+    job.make_network = [&](std::uint64_t) {
+        return std::make_unique<sim::Network>(topo, spec, 7);
+    };
+    job.make_workload = [&](double rate, std::uint64_t) {
+        return std::make_unique<sim::SyntheticWorkload>(
+            sim::makeTraffic(pattern, static_cast<int>(ports)), rate,
+            packet);
+    };
+    job.rates = sim::linearRates(0.9, 9);
+    job.cfg = cfg;
+    const auto sweep = exec::SweepRunner(std::move(job)).run().combined;
 
     // One extra instrumented run at moderate load: measured link
     // utilization (the runtime counterpart of Fig. 8's provisioned

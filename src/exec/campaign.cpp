@@ -1,8 +1,10 @@
 #include "exec/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <string_view>
@@ -21,6 +23,104 @@ namespace {
 
 using util::jsonEscape;
 using util::elapsedSeconds;
+
+/**
+ * Attach the calling campaign thread to the flight recorder and mark
+ * it active: "worker-<slot>" on a worker of @p pool, "caller" on any
+ * other thread or with no pool (a thread keeps the label it first
+ * attached with). Every cell calls this first, so the watchdog sees
+ * it. No-op while the recorder is off.
+ */
+void
+attachToFlightRecorder(const ThreadPool *pool)
+{
+    if (!obs::FlightRecorder::enabled())
+        return;
+    const int slot = pool ? pool->workerSlot() : 0;
+    obs::FlightRecorder::attachCurrentThread(
+        !pool || slot == pool->size() ? "caller"
+                                      : "worker-" + std::to_string(slot));
+    obs::FlightRecorder::markThreadActive();
+}
+
+/// Execute one (repetition, rate) cell of @p job. The point runs
+/// through the shared serial code path (sim::runLoadPoint), seeded
+/// from the repetition index alone.
+PointOutcome
+runSweepPoint(const SweepJob &job, int repetition, int rate_index)
+{
+    const auto start = std::chrono::steady_clock::now();
+
+    sim::SimConfig cfg = job.cfg;
+    cfg.seed = deriveSeed(job.cfg.seed,
+                          static_cast<std::uint64_t>(repetition));
+    const double rate = job.rates[static_cast<std::size_t>(rate_index)];
+
+    // Design-point boundary for crash post-mortems; purely passive.
+    obs::recordEvent(obs::EventKind::DesignPoint, repetition, rate_index,
+                     "rate " + std::to_string(rate));
+
+    PointOutcome outcome;
+    outcome.repetition = repetition;
+    outcome.rate_index = rate_index;
+    outcome.point = sim::runLoadPoint(
+        [&] { return job.make_network(cfg.seed); },
+        [&](double r) { return job.make_workload(r, cfg.seed); }, rate,
+        cfg, &outcome.result);
+    outcome.seconds = elapsedSeconds(start);
+    return outcome;
+}
+
+/// Finalize a job's complete rep-major outcome grid into
+/// per-repetition curves plus the combined curve.
+SweepRunOutput
+finalizeSweepRun(const SweepJob &job, std::vector<PointOutcome> outcomes,
+                 double wall_seconds)
+{
+    const auto rates = job.rates.size();
+
+    SweepRunOutput out;
+    out.wall_seconds = wall_seconds;
+    out.outcomes = std::move(outcomes);
+
+    out.reps.reserve(static_cast<std::size_t>(job.repetitions));
+    for (int rep = 0; rep < job.repetitions; ++rep) {
+        std::vector<sim::LoadPoint> points(rates);
+        for (std::size_t i = 0; i < rates; ++i)
+            points[i] =
+                out.outcomes[static_cast<std::size_t>(rep) * rates + i]
+                    .point;
+        out.reps.push_back(sim::finalizeSweep(std::move(points)));
+    }
+
+    if (job.repetitions == 1) {
+        out.combined = out.reps.front();
+        return out;
+    }
+
+    // Average each rate's point across repetitions; a point is
+    // stable only when every repetition's run was.
+    std::vector<sim::LoadPoint> combined(rates);
+    for (std::size_t i = 0; i < rates; ++i) {
+        StatsAccumulator offered, accepted, avg, p99;
+        bool stable = true;
+        for (const auto &rep : out.reps) {
+            const auto &p = rep.points[i];
+            offered.add(p.offered);
+            accepted.add(p.accepted);
+            avg.add(p.avg_latency);
+            p99.add(p.p99_latency);
+            stable = stable && p.stable;
+        }
+        combined[i].offered = offered.mean();
+        combined[i].accepted = accepted.mean();
+        combined[i].avg_latency = avg.mean();
+        combined[i].p99_latency = p99.mean();
+        combined[i].stable = stable;
+    }
+    out.combined = sim::finalizeSweep(std::move(combined));
+    return out;
+}
 
 } // namespace
 
@@ -62,7 +162,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     const auto start = std::chrono::steady_clock::now();
 
     // Flatten every job into cells: one per (repetition, rate) for
-    // sweeps, one per generic task.
+    // sweeps, one per generic task. A job's cells are contiguous,
+    // from first_cell[j] up to first_cell[j + 1].
     struct Cell
     {
         int job = 0;
@@ -70,8 +171,10 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         int rate_index = 0;
     };
     std::vector<Cell> cells;
+    std::vector<std::size_t> first_cell;
     for (int j = 0; j < jobCount(); ++j) {
         const Entry &entry = entries_[static_cast<std::size_t>(j)];
+        first_cell.push_back(cells.size());
         if (!entry.is_sweep) {
             cells.push_back({j, 0, 0});
             continue;
@@ -81,28 +184,20 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
                  ri < static_cast<int>(entry.sweep.rates.size()); ++ri)
                 cells.push_back({j, rep, ri});
     }
+    first_cell.push_back(cells.size());
 
-    // Slots keyed by cell index (each written exactly once) and
-    // per-worker timing buffers: slot pool->size() is the calling
-    // thread, so nothing on the execution path takes a lock.
+    // Slots keyed by cell index, each written exactly once; a slot
+    // also carries its cell's wall time, so nothing on the execution
+    // path takes a lock.
     std::vector<PointOutcome> outcomes(cells.size());
-    const int buffers = pool ? pool->size() + 1 : 1;
-    struct WorkerBuffer
-    {
-        std::vector<StatsAccumulator> cell_seconds;
-        std::vector<QuantileSampler> cell_seconds_q;
-    };
-    std::vector<WorkerBuffer> per_worker(
-        static_cast<std::size_t>(buffers));
-    for (auto &buffer : per_worker) {
-        buffer.cell_seconds.resize(entries_.size());
-        buffer.cell_seconds_q.resize(entries_.size());
-    }
 
     // One profiler phase per job; job names may contain '/' (which
     // the profiler reserves for nesting), so sanitize them once.
+    // Workers time into their own profiler (slot pool->size() is the
+    // calling thread), merged into @p profiler after the barrier.
     std::vector<obs::Profiler> worker_prof(
-        profiler ? static_cast<std::size_t>(buffers) : 0);
+        profiler ? static_cast<std::size_t>(pool ? pool->size() + 1 : 1)
+                 : 0);
     std::vector<std::string> phase_names;
     if (profiler) {
         phase_names.reserve(entries_.size());
@@ -124,7 +219,7 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const Cell &cell = cells[static_cast<std::size_t>(index)];
         const Entry &entry =
             entries_[static_cast<std::size_t>(cell.job)];
-        const int prof_slot = pool ? pool->workerSlot() : 0;
+        const int slot = pool ? pool->workerSlot() : 0;
         attachToFlightRecorder(pool);
         obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
                          entry.name);
@@ -142,24 +237,21 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
             obs::FlightRecorder::setThreadDetail(detail);
         }
         obs::ScopedPhase cell_phase(
-            profiler
-                ? &worker_prof[static_cast<std::size_t>(prof_slot)]
-                : nullptr,
+            profiler ? &worker_prof[static_cast<std::size_t>(slot)]
+                     : nullptr,
             profiler ? phase_names[static_cast<std::size_t>(cell.job)]
                      : std::string_view());
         const std::int64_t ts = trace ? trace->nowMicros() : 0;
-        PointOutcome outcome;
+        PointOutcome &outcome = outcomes[static_cast<std::size_t>(index)];
         if (entry.is_sweep) {
-            outcome = SweepRunner(entry.sweep)
-                          .runPoint(cell.repetition, cell.rate_index);
+            outcome = runSweepPoint(entry.sweep, cell.repetition,
+                                    cell.rate_index);
         } else {
             const auto cell_start = std::chrono::steady_clock::now();
             entry.fn();
             outcome.seconds = elapsedSeconds(cell_start);
         }
-        outcomes[static_cast<std::size_t>(index)] = outcome;
 
-        const int slot = pool ? pool->workerSlot() : 0;
         if (trace) {
             std::vector<obs::TraceArg> args;
             args.push_back(obs::TraceArg::str("job", entry.name));
@@ -182,13 +274,6 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
                             std::move(args));
         }
 
-        auto &buffer =
-            per_worker[static_cast<std::size_t>(slot)];
-        buffer.cell_seconds[static_cast<std::size_t>(cell.job)].add(
-            outcome.seconds);
-        buffer.cell_seconds_q[static_cast<std::size_t>(cell.job)].add(
-            outcome.seconds);
-
         obs::recordEvent(obs::EventKind::JobFinish, index, cell.job,
                          entry.name);
         obs::Watchdog::addProgressDone();
@@ -204,7 +289,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
              i < static_cast<std::int64_t>(cells.size()); ++i)
             runCell(i);
 
-    // Barrier passed: merge the per-worker buffers and finalize.
+    // Barrier passed: merge the worker profilers, then read each
+    // job's timing and outcomes off its run of slots.
     if (profiler)
         for (const obs::Profiler &wp : worker_prof)
             profiler->merge(wp, "campaign");
@@ -219,45 +305,34 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     result.threads = pool ? pool->size() : 1;
     result.jobs.resize(entries_.size());
 
-    std::vector<std::size_t> cursor(entries_.size());
-    std::vector<std::vector<PointOutcome>> per_job(entries_.size());
-    for (int j = 0; j < jobCount(); ++j) {
-        const Entry &entry = entries_[static_cast<std::size_t>(j)];
-        if (entry.is_sweep)
-            per_job[static_cast<std::size_t>(j)].resize(
-                static_cast<std::size_t>(entry.sweep.repetitions) *
-                entry.sweep.rates.size());
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto j = static_cast<std::size_t>(cells[i].job);
-        if (entries_[j].is_sweep)
-            per_job[j][cursor[j]++] = outcomes[i];
-    }
-
-    for (int j = 0; j < jobCount(); ++j) {
-        const auto ji = static_cast<std::size_t>(j);
-        const Entry &entry = entries_[ji];
-        CampaignJobResult &job_result = result.jobs[ji];
+    for (std::size_t j = 0; j < entries_.size(); ++j) {
+        const Entry &entry = entries_[j];
+        CampaignJobResult &job_result = result.jobs[j];
         job_result.name = entry.name;
         job_result.kind = entry.is_sweep ? "sweep" : "task";
 
-        StatsAccumulator seconds;
-        QuantileSampler seconds_q;
-        for (const auto &buffer : per_worker) {
-            seconds.merge(buffer.cell_seconds[ji]);
-            seconds_q.merge(buffer.cell_seconds_q[ji]);
+        const auto begin =
+            outcomes.begin() + static_cast<std::ptrdiff_t>(first_cell[j]);
+        const auto end = outcomes.begin() +
+                         static_cast<std::ptrdiff_t>(first_cell[j + 1]);
+        QuantileSampler cell_seconds;
+        for (auto it = begin; it != end; ++it) {
+            job_result.seconds += it->seconds;
+            job_result.max_cell_seconds =
+                std::max(job_result.max_cell_seconds, it->seconds);
+            cell_seconds.add(it->seconds);
         }
-        job_result.cells = static_cast<int>(seconds.count());
-        job_result.seconds =
-            seconds.mean() * static_cast<double>(seconds.count());
-        job_result.mean_cell_seconds = seconds.mean();
-        job_result.max_cell_seconds = seconds.max();
-        job_result.p95_cell_seconds =
-            seconds_q.empty() ? 0.0 : seconds_q.quantile(0.95);
+        job_result.cells = static_cast<int>(end - begin);
+        job_result.mean_cell_seconds =
+            job_result.seconds / static_cast<double>(job_result.cells);
+        job_result.p95_cell_seconds = cell_seconds.quantile(0.95);
 
         if (entry.is_sweep)
             job_result.sweep = finalizeSweepRun(
-                entry.sweep, std::move(per_job[ji]), job_result.seconds);
+                entry.sweep,
+                std::vector<PointOutcome>(std::make_move_iterator(begin),
+                                          std::make_move_iterator(end)),
+                result.wall_seconds);
     }
     return result;
 }

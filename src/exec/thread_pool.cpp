@@ -4,9 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
-#include <string>
 
-#include "obs/flight_recorder.hpp"
 #include "util/logging.hpp"
 
 namespace wss::exec {
@@ -46,18 +44,6 @@ int
 ThreadPool::workerSlot() const
 {
     return tl_pool == this ? tl_worker_slot : size();
-}
-
-void
-attachToFlightRecorder(const ThreadPool *pool)
-{
-    if (!obs::FlightRecorder::enabled())
-        return;
-    const int slot = pool ? pool->workerSlot() : 0;
-    obs::FlightRecorder::attachCurrentThread(
-        !pool || slot == pool->size() ? "caller"
-                                      : "worker-" + std::to_string(slot));
-    obs::FlightRecorder::markThreadActive();
 }
 
 int

@@ -147,15 +147,6 @@ class ThreadPool
     std::atomic<bool> stop_{false};
 };
 
-/**
- * Attach the calling campaign thread to the flight recorder and mark
- * it active: "worker-<slot>" on a worker of @p pool, "caller" on any
- * other thread or with no pool (a thread keeps the label it first
- * attached with). Campaign cells call this first, so the watchdog
- * sees them. No-op while the recorder is off.
- */
-void attachToFlightRecorder(const ThreadPool *pool);
-
 } // namespace wss::exec
 
 #endif // WSS_EXEC_THREAD_POOL_HPP

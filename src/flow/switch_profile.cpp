@@ -1,15 +1,16 @@
 #include "flow/switch_profile.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "exec/sweep_runner.hpp"
 #include "sim/traffic.hpp"
 #include "topology/clos.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/text.hpp"
 
@@ -46,146 +47,6 @@ interpolate(const std::vector<ProfilePoint> &points, double zero_load,
     // keeps flow-level loads from straying far past it anyway.
     return y0;
 }
-
-// ---------------------------------------------------------------
-// A minimal recursive-descent JSON reader — just enough for the
-// documents writeJson() emits (objects, arrays, numbers, strings,
-// booleans). No dependencies; fatal() on malformed input.
-// ---------------------------------------------------------------
-
-class JsonReader
-{
-  public:
-    explicit JsonReader(std::string text) : text_(std::move(text)) {}
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fatal("SwitchProfile JSON: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fatal("SwitchProfile JSON: expected '", std::string(1, c),
-                  "' at offset ", pos_, ", got '",
-                  std::string(1, text_[pos_]), "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fatal("SwitchProfile JSON: dangling escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                default:
-                    fatal("SwitchProfile JSON: unsupported escape \\",
-                          std::string(1, e));
-                }
-            }
-            out += c;
-        }
-        if (pos_ >= text_.size())
-            fatal("SwitchProfile JSON: unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        skipSpace();
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E'))
-            ++end;
-        if (end == pos_)
-            fatal("SwitchProfile JSON: expected a number at offset ",
-                  pos_);
-        const std::string token = text_.substr(pos_, end - pos_);
-        pos_ = end;
-        try {
-            return std::stod(token);
-        } catch (const std::exception &) {
-            fatal("SwitchProfile JSON: bad number '", token, "'");
-        }
-    }
-
-    /// Skip one value of any type (for unknown keys: forward
-    /// compatibility with future profile fields).
-    void
-    skipValue()
-    {
-        const char c = peek();
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            ++pos_;
-            if (consume('}'))
-                return;
-            do {
-                parseString();
-                expect(':');
-                skipValue();
-            } while (consume(','));
-            expect('}');
-        } else if (c == '[') {
-            ++pos_;
-            if (consume(']'))
-                return;
-            do {
-                skipValue();
-            } while (consume(','));
-            expect(']');
-        } else if (c == 't' || c == 'f' || c == 'n') {
-            while (pos_ < text_.size() &&
-                   std::isalpha(static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        } else {
-            parseNumber();
-        }
-    }
-
-  private:
-    std::string text_;
-    std::size_t pos_ = 0;
-};
 
 } // namespace
 
@@ -239,72 +100,45 @@ SwitchProfile::writeJsonFile(const std::string &path) const
 SwitchProfile
 SwitchProfile::fromJson(std::istream &is)
 {
+    constexpr std::string_view what = "SwitchProfile JSON";
     std::ostringstream buffer;
     buffer << is.rdbuf();
-    JsonReader reader(buffer.str());
+    const util::JsonValue doc = util::JsonValue::parse(buffer.str(), what);
 
-    SwitchProfile profile;
-    bool versioned = false;
-
-    reader.expect('{');
-    if (!reader.consume('}')) {
-        do {
-            const std::string key = reader.parseString();
-            reader.expect(':');
-            if (key == "wss_switch_profile") {
-                versioned = true;
-                const double v = reader.parseNumber();
-                if (v != 1.0)
-                    fatal("SwitchProfile JSON: unsupported version ", v);
-            } else if (key == "name") {
-                profile.name = reader.parseString();
-            } else if (key == "radix") {
-                profile.radix =
-                    static_cast<std::int64_t>(reader.parseNumber());
-            } else if (key == "line_rate_gbps") {
-                profile.line_rate_gbps = reader.parseNumber();
-            } else if (key == "cycle_seconds") {
-                profile.cycle_seconds = reader.parseNumber();
-            } else if (key == "power_watts") {
-                profile.power_watts = reader.parseNumber();
-            } else if (key == "zero_load_latency") {
-                profile.zero_load_latency = reader.parseNumber();
-            } else if (key == "saturation") {
-                profile.saturation = reader.parseNumber();
-            } else if (key == "points") {
-                reader.expect('[');
-                if (!reader.consume(']')) {
-                    do {
-                        ProfilePoint point;
-                        reader.expect('{');
-                        do {
-                            const std::string field =
-                                reader.parseString();
-                            reader.expect(':');
-                            if (field == "offered")
-                                point.offered = reader.parseNumber();
-                            else if (field == "avg_latency")
-                                point.avg_latency = reader.parseNumber();
-                            else if (field == "p99_latency")
-                                point.p99_latency = reader.parseNumber();
-                            else
-                                reader.skipValue();
-                        } while (reader.consume(','));
-                        reader.expect('}');
-                        profile.points.push_back(point);
-                    } while (reader.consume(','));
-                    reader.expect(']');
-                }
-            } else {
-                reader.skipValue();
-            }
-        } while (reader.consume(','));
-        reader.expect('}');
-    }
-
-    if (!versioned)
+    // Keys are looked up by name, so unknown ones (future profile
+    // fields) are ignored.
+    const util::JsonValue *version = doc.find("wss_switch_profile");
+    if (!version)
         fatal("SwitchProfile JSON: missing wss_switch_profile marker "
               "(is this really a profile file?)");
+    if (const double v = version->asNumber(what); v != 1.0)
+        fatal("SwitchProfile JSON: unsupported version ", v);
+
+    SwitchProfile profile;
+    profile.name = doc.stringOr("name", profile.name);
+    profile.radix = static_cast<std::int64_t>(
+        doc.numberOr("radix", static_cast<double>(profile.radix)));
+    profile.line_rate_gbps =
+        doc.numberOr("line_rate_gbps", profile.line_rate_gbps);
+    profile.cycle_seconds =
+        doc.numberOr("cycle_seconds", profile.cycle_seconds);
+    profile.power_watts = doc.numberOr("power_watts", profile.power_watts);
+    profile.zero_load_latency =
+        doc.numberOr("zero_load_latency", profile.zero_load_latency);
+    profile.saturation = doc.numberOr("saturation", profile.saturation);
+    if (const util::JsonValue *points = doc.find("points")) {
+        for (const util::JsonValue &entry : points->asArray(what)) {
+            entry.asObject(what); // fatal() unless an object
+            ProfilePoint point;
+            point.offered = entry.numberOr("offered", point.offered);
+            point.avg_latency =
+                entry.numberOr("avg_latency", point.avg_latency);
+            point.p99_latency =
+                entry.numberOr("p99_latency", point.p99_latency);
+            profile.points.push_back(point);
+        }
+    }
+
     if (profile.radix <= 0 || profile.line_rate_gbps <= 0.0)
         fatal("SwitchProfile JSON: radix and line_rate_gbps must be "
               "positive");

@@ -131,12 +131,14 @@ struct CalibrationSpec
 
 /**
  * Run the cycle-accurate load sweep for @p spec and condense it to a
- * SwitchProfile. Points execute through exec::SweepRunner, so a
- * pool parallelizes the sweep while the profile stays bit-identical
- * to the serial run. Unstable (saturated) points contribute to the
- * saturation estimate but are excluded from the latency curve.
- * @p profiler, when given, times the whole calibration as a
- * "calibrate" phase with the sweep's per-point phases nested below.
+ * SwitchProfile. Points execute through exec::SweepRunner (a one-job
+ * exec::Campaign), so a pool parallelizes the sweep while the profile
+ * stays bit-identical to the serial run. Unstable (saturated) points
+ * contribute to the saturation estimate but are excluded from the
+ * latency curve. @p profiler, when given, times the whole calibration
+ * as a "calibrate" phase with the campaign's per-cell
+ * "campaign/sweep" phases nested below. Call it outside any running
+ * campaign: a campaign resets the --progress total.
  */
 SwitchProfile calibrateSwitchProfile(const CalibrationSpec &spec,
                                      exec::ThreadPool *pool = nullptr,

@@ -94,8 +94,9 @@ Profiler::selfSeconds(const std::string &path) const
     if (it == phases_.end())
         return 0.0;
     // The nearest recorded descendants, not only direct children:
-    // merge() files "calibrate/sweep/point" with no "calibrate/sweep"
-    // node, and that time is still inside "calibrate".
+    // merge() files "calibrate/campaign/sweep" with no
+    // "calibrate/campaign" node, and that time is still inside
+    // "calibrate".
     double children = 0.0;
     const std::string prefix = path + "/";
     for (auto child = phases_.upper_bound(prefix);

@@ -89,8 +89,8 @@ class Profiler
     double totalSeconds(const std::string &path) const;
 
     /// Self time of @p path: inclusive minus the sum of its nearest
-    /// recorded descendants (a merged "a/sweep/point" with no
-    /// "a/sweep" node counts against "a"). Self times therefore
+    /// recorded descendants (a merged "a/campaign/sweep" with no
+    /// "a/campaign" node counts against "a"). Self times therefore
     /// partition the totals: summed over every path they equal the
     /// summed totals of the paths with no recorded ancestor.
     /// Concurrent merged children can push this below zero (their

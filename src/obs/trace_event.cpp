@@ -133,14 +133,22 @@ TraceEventSink::allocateTrack(const std::string &name)
     const int tid =
         kFirstAllocatedTrack + static_cast<int>(tracks_.size());
     tracks_.emplace(name, tid);
+    nameTrackLocked(tid, name);
+    return tid;
+}
+
+void
+TraceEventSink::nameTrackLocked(int tid, std::string name)
+{
+    if (!named_tracks_.insert(tid).second)
+        return;
     Event event;
     event.phase = 'M';
     event.name = "thread_name";
     event.tid = tid;
-    event.args.push_back(TraceArg::str("name", name));
+    event.args.push_back(TraceArg::str("name", std::move(name)));
     event.seq = next_seq_++;
     events_.push_back(std::move(event));
-    return tid;
 }
 
 void
@@ -156,12 +164,8 @@ TraceEventSink::setProcessName(std::string name)
 void
 TraceEventSink::setThreadName(int tid, std::string name)
 {
-    Event event;
-    event.phase = 'M';
-    event.name = "thread_name";
-    event.tid = tid;
-    event.args.push_back(TraceArg::str("name", std::move(name)));
-    push(std::move(event));
+    std::lock_guard<std::mutex> lock(mutex_);
+    nameTrackLocked(tid, std::move(name));
 }
 
 std::size_t

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,10 @@ class TraceEventSink
     /// Label the process row in the viewer.
     void setProcessName(std::string name);
 
-    /// Label track @p tid ("worker 3", "caller", ...).
+    /// Label track @p tid ("worker 3", "caller", ...). The first
+    /// label of a track sticks: later calls for the same tid (every
+    /// campaign that shares the sink names its workers) emit nothing.
+    /// Thread-safe.
     void setThreadName(int tid, std::string name);
 
     /// Events recorded so far (metadata included).
@@ -122,11 +126,16 @@ class TraceEventSink
     };
 
     void push(Event event);
+    /// Emit track @p tid's thread_name unless it has one; caller
+    /// holds mutex_.
+    void nameTrackLocked(int tid, std::string name);
 
     mutable std::mutex mutex_;
     std::vector<Event> events_;
     std::uint64_t next_seq_ = 0;
     std::map<std::string, int> tracks_;
+    /// Tracks that already carry a thread_name event.
+    std::set<int> named_tracks_;
     std::chrono::steady_clock::time_point epoch_;
 };
 

@@ -6,7 +6,7 @@
  * flight recorder's rings (obs/flight_recorder.hpp), the one
  * per-thread record of the process. A thread's heartbeat is the
  * newest event on its ring, so every recordEvent() is a sign of life:
- * exec::Campaign / exec::SweepRunner workers record once per cell and
+ * exec::Campaign workers (every sweep runs there) record once per cell and
  * label themselves with the design point they are on
  * (FlightRecorder::setThreadDetail); flow::simulateFlows records an
  * epoch mark every few thousand event-loop iterations; the

@@ -68,22 +68,6 @@ finalizeSweep(std::vector<LoadPoint> points)
     return result;
 }
 
-SweepResult
-sweepLoad(const NetworkFactory &make_network,
-          const WorkloadFactory &make_workload,
-          const std::vector<double> &rates, const SimConfig &cfg)
-{
-    if (rates.empty())
-        fatal("sweepLoad: need at least one rate");
-
-    std::vector<LoadPoint> points;
-    points.reserve(rates.size());
-    for (double rate : rates)
-        points.push_back(
-            runLoadPoint(make_network, make_workload, rate, cfg));
-    return finalizeSweep(std::move(points));
-}
-
 std::vector<double>
 linearRates(double max_rate, int points)
 {

@@ -2,10 +2,11 @@
  * @file
  * Latency-versus-load sweeps — the x-axes of Figs. 21-24.
  *
- * The single-point runner (runLoadPoint) and the curve summariser
- * (finalizeSweep) are exposed so `exec::SweepRunner` can fan the
- * same computation out across a thread pool while staying
- * bit-identical to the serial sweepLoad() path.
+ * This header holds the single-point runner (runLoadPoint) and the
+ * curve summariser (finalizeSweep). Whole curves run through exec::Campaign (or its
+ * one-job front end exec::SweepRunner), which schedules one
+ * runLoadPoint per (repetition, rate) cell on a thread pool or
+ * serially and stays bit-identical at any pool size.
  */
 
 #ifndef WSS_SIM_LOAD_SWEEP_HPP
@@ -52,8 +53,7 @@ using WorkloadFactory =
 /**
  * Run one sweep point: build a fresh network and workload at
  * @p rate, simulate, and condense to a LoadPoint. This is *the*
- * shared code path for serial and parallel sweeps — any change here
- * changes both identically.
+ * code path of every sweep point, serial or parallel.
  *
  * @param full  optional out-parameter receiving the complete
  *              SimResult of the run.
@@ -67,16 +67,6 @@ LoadPoint runLoadPoint(const NetworkFactory &make_network,
  * throughput) from a complete set of points.
  */
 SweepResult finalizeSweep(std::vector<LoadPoint> points);
-
-/**
- * Run the simulator once per rate (serially, in the calling thread)
- * and collect the curve. For parallel execution use
- * exec::SweepRunner, which produces bit-identical results.
- */
-SweepResult sweepLoad(const NetworkFactory &make_network,
-                      const WorkloadFactory &make_workload,
-                      const std::vector<double> &rates,
-                      const SimConfig &cfg);
 
 /// Convenience: evenly spaced rates in (0, max_rate].
 std::vector<double> linearRates(double max_rate, int points);

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 
@@ -27,9 +28,8 @@ kindName(JsonValue::Kind kind)
 
 } // namespace
 
-/// Recursive-descent parser over the whole document (same shape as
-/// the streaming reader in flow/switch_profile.cpp, but building a
-/// JsonValue tree instead of dispatching on known keys).
+/// Recursive-descent parser over the whole document, building a
+/// JsonValue tree.
 class JsonParser
 {
   public:
@@ -182,7 +182,12 @@ class JsonParser
                 fail("bad number exponent");
         }
         const std::string token(text_.substr(start, pos_ - start));
-        return std::strtod(token.c_str(), nullptr);
+        // strtod saturates an overflowing literal to +-inf; no writer
+        // in the repo emits one, so it is corrupt input.
+        const double v = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(v))
+            fail("number out of range");
+        return v;
     }
 
     JsonValue

@@ -2,20 +2,19 @@
  * @file
  * Minimal JSON document parser (stdlib only).
  *
- * The repo writes several JSON artifacts (switch profiles, campaign
- * summaries, Chrome traces, run manifests) and until now only needed
- * to *parse* the one fixed schema of flow::SwitchProfile, which uses
- * a private streaming reader. obs::RunManifest::loadJsonFile and the
- * `wss report` subcommand need to walk arbitrary documents written by
- * earlier runs, so this header provides a tiny DOM: parse a whole
- * document into a JsonValue tree and navigate it with find()/as*().
+ * The repo's one JSON reader. flow::SwitchProfile::fromJson,
+ * obs::RunManifest::loadJsonFile and the `wss report` subcommand all
+ * read documents written by earlier runs through this tiny DOM:
+ * parse a whole document into a JsonValue tree and navigate it with
+ * find()/as*().
  *
  * Deliberately small: no serialization (writers keep emitting JSON by
  * hand at max_digits10, as everywhere else in the repo), no comments,
  * no trailing commas — exactly RFC 8259 minus \u surrogate pairs
  * (escaped \uXXXX below 0x80 decodes; anything higher is preserved
  * verbatim as its escape text, which is lossless for reporting).
- * Malformed input is a user error: fatal(), never UB.
+ * Malformed input, including a number that overflows a double, is a
+ * user error: fatal(), never UB.
  */
 
 #ifndef WSS_UTIL_JSON_HPP

@@ -3,7 +3,7 @@
  * Stateless per-index seed derivation shared by every parallel
  * fan-out in the repo.
  *
- * exec::SweepRunner derives one seed per repetition and
+ * exec::Campaign derives one seed per sweep repetition and
  * fault::DefectSampler derives one per Monte-Carlo sample; both must
  * obey the same determinism contract (any thread can derive any
  * index's seed independently, in any order), so they share this one

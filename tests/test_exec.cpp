@@ -2,18 +2,22 @@
  * @file
  * Tests for the parallel execution engine: thread pool scheduling,
  * per-index seed derivation, sweep determinism across thread
- * counts (incl. bit-identity with the legacy serial sweepLoad),
- * and campaign batching/artifact output.
+ * counts (incl. bit-identity with an in-test serial reference built
+ * from sim::runLoadPoint), and campaign batching, timing and
+ * artifact output.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "exec/campaign.hpp"
 #include "exec/sweep_runner.hpp"
@@ -205,23 +209,37 @@ expectIdenticalPoints(const std::vector<sim::LoadPoint> &a,
     }
 }
 
+/// The serial reference every executor must reproduce bit for bit:
+/// one sim::runLoadPoint per rate in the calling thread, on the base
+/// seed (repetition 0), condensed by sim::finalizeSweep.
+sim::SweepResult
+serialReference(const topology::LogicalTopology &topo,
+                const sim::NetworkSpec &spec,
+                const std::vector<double> &rates)
+{
+    const auto cfg = tinyCfg();
+    std::vector<sim::LoadPoint> points;
+    for (double rate : rates)
+        points.push_back(sim::runLoadPoint(
+            [&] {
+                return std::make_unique<sim::Network>(topo, spec,
+                                                      cfg.seed);
+            },
+            [](double r) {
+                return std::make_unique<sim::SyntheticWorkload>(
+                    sim::uniformTraffic(8), r, 1);
+            },
+            rate, cfg));
+    return sim::finalizeSweep(std::move(points));
+}
+
 TEST(SweepRunner, MatchesSerialSweepLoadAtAnyThreadCount)
 {
     const auto topo = tinyClos();
     const auto spec = tinySpec();
     const std::vector<double> rates = {0.05, 0.3, 0.6};
-    const auto cfg = tinyCfg();
 
-    // The legacy serial baseline.
-    const auto serial = sim::sweepLoad(
-        [&] {
-            return std::make_unique<sim::Network>(topo, spec, cfg.seed);
-        },
-        [&](double rate) {
-            return std::make_unique<sim::SyntheticWorkload>(
-                sim::uniformTraffic(8), rate, 1);
-        },
-        rates, cfg);
+    const auto serial = serialReference(topo, spec, rates);
 
     const SweepRunner runner(tinyJob(topo, spec, rates));
 
@@ -288,6 +306,39 @@ TEST(SweepRunner, RecordsPerPointTiming)
     EXPECT_GT(out.wall_seconds, 0.0);
 }
 
+TEST(SweepRunner, WallSecondsIsTheRunsWallClock)
+{
+    const auto topo = tinyClos();
+    const auto spec = tinySpec();
+    // Every cell sleeps first, so cells overlap on the pool's lanes
+    // even on a single core: the summed cell time then clearly
+    // exceeds the run's wall clock.
+    SweepJob job = tinyJob(topo, spec, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+    job.repetitions = 2;
+    const auto make_network = job.make_network;
+    job.make_network = [make_network](std::uint64_t seed) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return make_network(seed);
+    };
+    const SweepRunner runner(std::move(job));
+
+    ThreadPool pool(4);
+    const auto start = std::chrono::steady_clock::now();
+    const auto out = runner.run(&pool);
+    const double measured = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+    double sum = 0.0, max_cell = 0.0;
+    for (const auto &outcome : out.outcomes) {
+        sum += outcome.seconds;
+        max_cell = std::max(max_cell, outcome.seconds);
+    }
+    EXPECT_GE(out.wall_seconds, max_cell);
+    EXPECT_LE(out.wall_seconds, measured);
+    EXPECT_GT(sum, measured); // the sum is no wall clock
+}
+
 TEST(Campaign, BatchesHeterogeneousJobsWithTiming)
 {
     const auto topo = tinyClos();
@@ -333,17 +384,55 @@ TEST(Campaign, MatchesDirectSweepRunnerOutput)
 {
     const auto topo = tinyClos();
     const auto spec = tinySpec();
-    const auto job = tinyJob(topo, spec, {0.1, 0.5});
+    const std::vector<double> rates = {0.1, 0.5};
+    const auto serial = serialReference(topo, spec, rates);
 
-    const auto direct = SweepRunner(job).run(nullptr);
-
+    // A batch with a second job ahead of the curve: the curve's
+    // cells sit behind another job's in the flattened grid.
     Campaign campaign;
-    campaign.addSweep("curve", job);
+    campaign.addSweep("other", tinyJob(topo, spec, {0.3}, 2));
+    campaign.addSweep("curve", tinyJob(topo, spec, rates));
     ThreadPool pool(3);
     const auto batched = campaign.run(&pool);
-    expectIdenticalPoints(direct.combined.points,
-                          batched.jobs[0].sweep.combined.points,
+    expectIdenticalPoints(serial.points,
+                          batched.jobs[1].sweep.combined.points,
                           "campaign");
+    EXPECT_EQ(serial.zero_load_latency,
+              batched.jobs[1].sweep.combined.zero_load_latency);
+    EXPECT_EQ(serial.saturation_throughput,
+              batched.jobs[1].sweep.combined.saturation_throughput);
+}
+
+TEST(Campaign, JobTimingComesFromTheCellSlots)
+{
+    const auto topo = tinyClos();
+    const auto spec = tinySpec();
+
+    Campaign campaign;
+    campaign.addTask("solve", [] {});
+    campaign.addSweep("curve", tinyJob(topo, spec, {0.1, 0.3, 0.5}, 2));
+    ThreadPool pool(4);
+    const auto result = campaign.run(&pool);
+
+    const auto &job = result.jobs[1];
+    ASSERT_EQ(job.sweep.outcomes.size(), 6u);
+    double sum = 0.0, max_cell = 0.0;
+    for (const auto &outcome : job.sweep.outcomes) {
+        sum += outcome.seconds;
+        max_cell = std::max(max_cell, outcome.seconds);
+    }
+    EXPECT_EQ(job.cells, 6);
+    EXPECT_EQ(job.seconds, sum);
+    EXPECT_EQ(job.max_cell_seconds, max_cell);
+    EXPECT_DOUBLE_EQ(job.mean_cell_seconds, sum / 6.0);
+    EXPECT_GT(job.p95_cell_seconds, 0.0);
+    EXPECT_LE(job.p95_cell_seconds, max_cell);
+    // The sweep's wall clock is the campaign's, not its cell sum.
+    EXPECT_EQ(job.sweep.wall_seconds, result.wall_seconds);
+
+    const auto &task = result.jobs[0];
+    EXPECT_EQ(task.cells, 1);
+    EXPECT_EQ(task.max_cell_seconds, task.seconds);
 }
 
 TEST(Campaign, WritesCsvAndJsonArtifacts)

@@ -9,6 +9,7 @@
 
 #include "power/ssc.hpp"
 #include "core/radix_solver.hpp"
+#include "exec/sweep_runner.hpp"
 #include "sim/load_sweep.hpp"
 #include "tech/yield.hpp"
 #include "topology/clos.hpp"
@@ -198,16 +199,19 @@ TEST(AdaptiveRouting, BeatsObliviousOnPermutationTraffic)
         spec.pipeline_delay = 2;
         spec.terminal_link_latency = 2;
         spec.adaptive_routing = adaptive;
-        const auto sweep = sim::sweepLoad(
-            [&] {
-                return std::make_unique<sim::Network>(topo, spec, 11);
-            },
-            [&](double rate) {
-                return std::make_unique<sim::SyntheticWorkload>(
-                    sim::transposeTraffic(64), rate, 1);
-            },
-            {0.3, 0.6, 0.9}, cfg);
-        return sweep.saturation_throughput;
+        exec::SweepJob job;
+        job.make_network = [&](std::uint64_t) {
+            return std::make_unique<sim::Network>(topo, spec, 11);
+        };
+        job.make_workload = [](double rate, std::uint64_t) {
+            return std::make_unique<sim::SyntheticWorkload>(
+                sim::transposeTraffic(64), rate, 1);
+        };
+        job.rates = {0.3, 0.6, 0.9};
+        job.cfg = cfg;
+        return exec::SweepRunner(std::move(job))
+            .run()
+            .combined.saturation_throughput;
     };
     const double oblivious = saturation(false);
     const double adaptive = saturation(true);
@@ -335,14 +339,19 @@ TEST(DegradedFabric, SaturationDegradesGracefully)
         cfg.warmup = 300;
         cfg.measure = 1500;
         cfg.drain_limit = 4000;
-        const auto sweep = sim::sweepLoad(
-            [&] { return std::make_unique<sim::Network>(topo, spec, 7); },
-            [&](double rate) {
-                return std::make_unique<sim::SyntheticWorkload>(
-                    sim::uniformTraffic(64), rate, 1);
-            },
-            {0.5, 0.9}, cfg);
-        return sweep.saturation_throughput;
+        exec::SweepJob job;
+        job.make_network = [&](std::uint64_t) {
+            return std::make_unique<sim::Network>(topo, spec, 7);
+        };
+        job.make_workload = [](double rate, std::uint64_t) {
+            return std::make_unique<sim::SyntheticWorkload>(
+                sim::uniformTraffic(64), rate, 1);
+        };
+        job.rates = {0.5, 0.9};
+        job.cfg = cfg;
+        return exec::SweepRunner(std::move(job))
+            .run()
+            .combined.saturation_throughput;
     };
     const double full = saturation(intact);
     const double cut = saturation(degraded);

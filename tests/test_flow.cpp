@@ -121,6 +121,11 @@ TEST(FlowProfile, FromJsonRejectsGarbageDiesLoudly)
                  "wss_switch_profile");
     std::stringstream malformed("{\"wss_switch_profile\": 1,");
     EXPECT_DEATH(SwitchProfile::fromJson(malformed), "JSON");
+    // A number past the double range is corrupt, not +inf.
+    std::stringstream overflow(
+        "{\"wss_switch_profile\": 1, \"radix\": 64, "
+        "\"line_rate_gbps\": 1e999}");
+    EXPECT_DEATH(SwitchProfile::fromJson(overflow), "out of range");
 }
 
 TEST(FlowProfile, CalibrationProducesUsableProfile)

@@ -593,6 +593,32 @@ TEST(TraceEvent, CampaignContentIsIdenticalAtAnyThreadCount)
     EXPECT_EQ(serial.size(), 5u);
 }
 
+TEST(TraceEvent, CampaignsSharingASinkNameEachTrackOnce)
+{
+    // Two calibration campaigns and then the cell campaign log into
+    // one sink in `wss dcn --trace-out`; each names its workers.
+    exec::Campaign campaign;
+    campaign.addSweep("uniform", tinySweepJob());
+    TraceEventSink sink;
+    exec::ThreadPool pool(3);
+    campaign.run(&pool, &sink);
+    campaign.run(&pool, &sink);
+    campaign.run(nullptr, &sink);
+
+    const Json root = parseTrace(sink);
+    std::map<std::int64_t, int> names_per_tid;
+    for (const Json &e : root.find("traceEvents")->array)
+        if (e.find("ph")->string == "M" &&
+            e.find("name")->string == "thread_name")
+            ++names_per_tid[static_cast<std::int64_t>(
+                e.find("tid")->number)];
+    // Workers 0-2 and the caller (tid 3); the serial run's "caller"
+    // on tid 0 keeps the first label.
+    ASSERT_EQ(names_per_tid.size(), 4u);
+    for (const auto &[tid, count] : names_per_tid)
+        EXPECT_EQ(count, 1) << "tid " << tid;
+}
+
 TEST(TraceEvent, FaultScheduleEmitsInstantEvents)
 {
     // 16 ports -> multiple spines, so killing one uplink bundle

@@ -12,6 +12,7 @@
 #include <limits>
 #include <string>
 
+#include "exec/sweep_runner.hpp"
 #include "power/ssc.hpp"
 #include "sim/channel.hpp"
 #include "sim/load_sweep.hpp"
@@ -276,13 +277,17 @@ TEST(Simulator, LatencyRisesWithLoad)
     cfg.warmup = 500;
     cfg.measure = 2500;
     cfg.seed = 5;
-    const auto sweep = sweepLoad(
-        [&] { return std::make_unique<Network>(topo, spec, 9); },
-        [&](double rate) {
-            return std::make_unique<SyntheticWorkload>(
-                uniformTraffic(8), rate, 1);
-        },
-        {0.05, 0.4, 0.95}, cfg);
+    exec::SweepJob job;
+    job.make_network = [&](std::uint64_t) {
+        return std::make_unique<Network>(topo, spec, 9);
+    };
+    job.make_workload = [](double rate, std::uint64_t) {
+        return std::make_unique<SyntheticWorkload>(uniformTraffic(8),
+                                                   rate, 1);
+    };
+    job.rates = {0.05, 0.4, 0.95};
+    job.cfg = cfg;
+    const auto sweep = exec::SweepRunner(std::move(job)).run().combined;
     ASSERT_EQ(sweep.points.size(), 3u);
     EXPECT_LT(sweep.points[0].avg_latency, sweep.points[1].avg_latency);
     EXPECT_LT(sweep.points[1].avg_latency, sweep.points[2].avg_latency);

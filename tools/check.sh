@@ -11,7 +11,9 @@
 #   3. an AddressSanitizer + UndefinedBehaviorSanitizer build (any
 #      UB report is fatal) of the simulator core running the
 #      bit-exact determinism suite plus the channel-ring and latency
-#      tests of test_sim (the `asan` preset), so flit-pool
+#      tests of test_sim and the executor suites of test_exec
+#      (thread pool, seeds, SweepRunner, Campaign; the `asan`
+#      preset), so flit-pool
 #      lifetime or ring-buffer indexing bugs introduced by hot-path
 #      work die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
@@ -91,7 +93,7 @@ echo "== tsan: race-checked test run =="
 # Death tests (fork under TSAN) are excluded by the preset filter.
 ctest --preset tsan
 
-echo "== asan: configure + build (test_sim_determinism, test_sim, test_flow, test_coll) =="
+echo "== asan: configure + build (test_sim_determinism, test_sim, test_exec, test_flow, test_coll) =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 

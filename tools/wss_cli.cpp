@@ -22,6 +22,7 @@
 #include "coll/plan.hpp"
 #include "core/radix_solver.hpp"
 #include "exec/campaign.hpp"
+#include "exec/sweep_runner.hpp"
 #include "fault/resilience.hpp"
 #include "flags.hpp"
 #include "flow/dcn_campaign.hpp"
@@ -440,15 +441,23 @@ cmdSim(const Opts &opts)
             packet);
     };
 
+    // One serial sweep; repetition 0 runs on cfg.seed itself.
+    exec::SweepJob job;
+    job.make_network = [&](std::uint64_t) { return make_network(); };
+    job.make_workload = [&](double rate, std::uint64_t) {
+        return make_workload(rate);
+    };
+    job.rates = sweepRates(opts);
+    job.cfg = cfg;
     const auto sweep = [&] {
         obs::ScopedPhase phase(&run.profiler, "sweep");
-        return sim::sweepLoad(make_network, make_workload,
-                              sweepRates(opts), cfg);
+        return exec::SweepRunner(std::move(job))
+            .run(nullptr, nullptr, &run.profiler);
     }();
 
     printSweep("wss sim — " + pattern + " on " + Table::num(ports) +
                    " ports",
-               sweep, 2);
+               sweep.combined, 2);
     std::cout << "\n";
 
     // Observed run: one extra simulation with per-router/per-link
@@ -801,6 +810,12 @@ designPair(const Opts &opts, const std::string &tool,
                   << ws_ports << " ports, "
                   << Table::num(ws_power / 1000.0, 1) << " kW\n";
     } else {
+        // A pinned design never runs the solver: flags that only
+        // steer it would be silently ignored.
+        for (const char *flag : {"substrate", "cooling", "restarts"})
+            if (opts.has(flag))
+                fatal(tool, ": --", flag, " only steers the radix "
+                      "solver, which --ws-ports skips; drop one of them");
         ws_ports = alignPorts(ws_ports, ssc.radix);
         ws_power = estimateSwitchPower(pair.spec, ws_ports, ssc);
     }
