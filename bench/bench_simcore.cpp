@@ -11,8 +11,12 @@
  *   - the Fig. 21 configuration (single radix-64 SSC, 64 VCs,
  *     200 ns-class terminal links) at 10% load and at saturation,
  *     with observability off and on,
- *   - a 4x4 direct mesh (Fig. 25's alternative topology), and
- *   - a 256-port folded Clos (the paper's main fabric shape),
+ *   - a 4x4 direct mesh (Fig. 25's alternative topology),
+ *   - a 256-port folded Clos (the paper's main fabric shape), and
+ *   - the Fig. 23 waferscale fabric: a 2048-port folded Clos of
+ *     radix-64 (64 x 800G) SSCs with 16 VCs, the scale the paper
+ *     benches run, at low load and at saturation over a shorter
+ *     measurement window,
  *
  * and emits BENCH_simcore.json (see --json) so successive PRs can
  * diff the trajectory with tools/bench_compare.py. SimResult fields
@@ -59,6 +63,8 @@ struct Point
     sim::NetworkSpec spec;
     double rate = 0.0;
     bool observe = false;
+    /// Measurement window in full (non-smoke) runs.
+    sim::Cycle measure = 8000;
 };
 
 struct Measurement
@@ -103,7 +109,7 @@ runPoint(const Point &point, bool smoke, std::uint64_t seed)
 {
     sim::SimConfig cfg;
     cfg.warmup = smoke ? 100 : 1000;
-    cfg.measure = smoke ? 300 : 8000;
+    cfg.measure = smoke ? 300 : point.measure;
     cfg.drain_limit = smoke ? 1000 : 4000;
     cfg.seed = seed;
     cfg.observe = point.observe;
@@ -231,6 +237,25 @@ main(int argc, char **argv)
             {256, power::scaledSsc(32, 200.0), 1});
         points.push_back({"clos256/load0.10", clos, spec, 0.10, false});
         points.push_back({"clos256/load0.80", clos, spec, 0.80, false});
+    }
+    {
+        // Fig. 23's waferscale switch: 11-cycle traversal, 1-cycle
+        // on-wafer links. 96 routers of radix 64; a 2000-cycle window
+        // keeps the saturated point near 10 M flits.
+        sim::NetworkSpec spec;
+        spec.vcs = 16;
+        spec.buffer_per_port = 32;
+        spec.rc_delay_ingress = 2;
+        spec.rc_delay_transit = 2;
+        spec.pipeline_delay = 9;
+        spec.terminal_link_latency = 8;
+        spec.internal_link_latency = 1;
+        const auto clos = topology::buildFoldedClos(
+            {2048, power::tomahawk5(3), 1});
+        points.push_back(
+            {"clos2048/load0.10", clos, spec, 0.10, false, 2000});
+        points.push_back(
+            {"clos2048/load0.85", clos, spec, 0.85, false, 2000});
     }
 
     const auto seed = static_cast<std::uint64_t>(

@@ -43,6 +43,15 @@ attachToFlightRecorder(const ThreadPool *pool)
     obs::FlightRecorder::markThreadActive();
 }
 
+/// Trace track of the thread in worker slot @p slot: the calling
+/// thread is track 0 with or without a pool, so campaigns sharing a
+/// sink keep it on one track, and pool worker w is track w + 1.
+int
+traceTrack(const ThreadPool *pool, int slot)
+{
+    return !pool || slot == pool->size() ? 0 : slot + 1;
+}
+
 /// Execute one (repetition, rate) cell of @p job. The point runs
 /// through the shared serial code path (sim::runLoadPoint), seeded
 /// from the repetition index alone.
@@ -269,9 +278,9 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
                                 cell.rate_index)]));
             }
             trace->complete(entry.name,
-                            entry.is_sweep ? "sweep" : "task", slot,
-                            ts, trace->nowMicros() - ts,
-                            std::move(args));
+                            entry.is_sweep ? "sweep" : "task",
+                            traceTrack(pool, slot), ts,
+                            trace->nowMicros() - ts, std::move(args));
         }
 
         obs::recordEvent(obs::EventKind::JobFinish, index, cell.job,
@@ -295,10 +304,11 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         for (const obs::Profiler &wp : worker_prof)
             profiler->merge(wp, "campaign");
     if (trace) {
-        const int workers = pool ? pool->size() : 0;
-        for (int w = 0; w < workers; ++w)
-            trace->setThreadName(w, "worker " + std::to_string(w));
-        trace->setThreadName(workers, "caller");
+        trace->setThreadName(traceTrack(pool, pool ? pool->size() : 0),
+                             "caller");
+        for (int w = 0; pool && w < pool->size(); ++w)
+            trace->setThreadName(traceTrack(pool, w),
+                                 "worker " + std::to_string(w));
     }
     CampaignResult result;
     result.wall_seconds = elapsedSeconds(start);

@@ -72,8 +72,9 @@ class TraceEventSink
                  std::int64_t ts_us, double value);
 
     /// Track ids handed out by allocateTrack() start here; the ids
-    /// below are the callers' own (exec::Campaign uses worker slots
-    /// 0..N), so allocated tracks can never collide with them.
+    /// below are the callers' own (exec::Campaign uses 0 for the
+    /// calling thread and 1..N for pool workers), so allocated tracks
+    /// can never collide with them.
     static constexpr int kFirstAllocatedTrack = 1000;
 
     /**

@@ -17,6 +17,31 @@ portOf(std::size_t w, std::uint64_t bit_scan)
 
 } // namespace
 
+int
+findFreeVc(const std::uint64_t *mask, int vcs, int from)
+{
+    const std::size_t words = (static_cast<std::size_t>(vcs) + 63) / 64;
+    if (words == 1) {
+        // Rotate the cursor to bit 0; the clear bits past vcs keep
+        // (from + offset) mod 64 inside [0, vcs).
+        if (!mask[0])
+            return -1;
+        return (from + std::countr_zero(std::rotr(mask[0], from))) & 63;
+    }
+    // The cursor's word masked below the cursor, the other words in
+    // cyclic order, then the cursor's word again in full.
+    std::size_t w = static_cast<std::size_t>(from) >> 6;
+    std::uint64_t word = mask[w] & (~std::uint64_t{0} << (from & 63));
+    for (std::size_t i = 0; i <= words; ++i) {
+        if (word)
+            return static_cast<int>(w) * 64 + std::countr_zero(word);
+        if (++w == words)
+            w = 0;
+        word = mask[w];
+    }
+    return -1;
+}
+
 Router::Router(int id, const RouterConfig &cfg, std::uint64_t seed,
                FlitPool *pool)
     : id_(id), cfg_(cfg), rng_(seed), pool_(pool)
@@ -45,11 +70,13 @@ Router::Router(int id, const RouterConfig &cfg, std::uint64_t seed,
     }
     port_enabled_.assign(static_cast<std::size_t>(cfg.ports), 1);
     outputs_.resize(cfg.ports);
-    for (auto &out : outputs_)
-        out.vc_owner.assign(cfg.vcs, -1);
-    requests_.resize(cfg.ports);
-    for (auto &reqs : requests_)
-        reqs.reserve(static_cast<std::size_t>(cfg.ports));
+    // Every output VC starts free.
+    vc_words_ = (static_cast<std::size_t>(cfg.vcs) + 63) / 64;
+    free_vcs_.assign(static_cast<std::size_t>(cfg.ports) * vc_words_,
+                     ~std::uint64_t{0});
+    if (const int tail = cfg.vcs & 63)
+        for (int p = 0; p < cfg.ports; ++p)
+            freeVcs(p)[vc_words_ - 1] = (std::uint64_t{1} << tail) - 1;
     touched_outputs_.reserve(static_cast<std::size_t>(cfg.ports));
 
     const std::size_t words =
@@ -183,7 +210,8 @@ void
 Router::runInputStages(Cycle now)
 {
     // Ascending port order is load-bearing: VA claims on a shared
-    // output's round-robin VC cursor depend on it.
+    // output's round-robin VC cursor depend on it, and SA settles
+    // each output's round-robin winner as inputs nominate.
     for (std::size_t w = 0; w < busy_mask_.size(); ++w) {
         std::uint64_t word = busy_mask_[w];
         while (word) {
@@ -231,27 +259,22 @@ Router::runInputStages(Cycle now)
                         vc.state = VcState::WaitVc;
                     }
                     if (vc.state == VcState::WaitVc) {
-                        auto &out = outputs_[vc.out_port];
                         // Claim a free output VC, round-robin.
-                        for (int i = 0; i < cfg_.vcs; ++i) {
-                            int cand = out.rr_vc + i;
-                            if (cand >= cfg_.vcs)
-                                cand -= cfg_.vcs;
-                            if (out.vc_owner[cand] < 0) {
-                                out.vc_owner[cand] =
-                                    static_cast<std::int32_t>(port) *
-                                        cfg_.vcs +
-                                    vc_id;
-                                out.rr_vc =
-                                    cand + 1 == cfg_.vcs ? 0 : cand + 1;
-                                vc.out_vc = static_cast<std::int16_t>(cand);
-                                vc.state = VcState::Active;
-                                ++in.active_vcs;
-                                break;
-                            }
-                        }
-                        if (vc.state == VcState::WaitVc)
+                        auto &out = outputs_[vc.out_port];
+                        std::uint64_t *free = freeVcs(vc.out_port);
+                        const int cand =
+                            findFreeVc(free, cfg_.vcs, out.rr_vc);
+                        if (cand < 0) {
                             instr_.vc_alloc_failures.inc();
+                        } else {
+                            free[cand >> 6] &=
+                                ~(std::uint64_t{1} << (cand & 63));
+                            out.rr_vc =
+                                cand + 1 == cfg_.vcs ? 0 : cand + 1;
+                            vc.out_vc = static_cast<std::int16_t>(cand);
+                            vc.state = VcState::Active;
+                            ++in.active_vcs;
+                        }
                     }
                     if (vc.state == VcState::Active)
                         pending.erase(pending.begin() +
@@ -283,14 +306,21 @@ Router::runInputStages(Cycle now)
                 if (vc.state != VcState::Active ||
                     vc.q_head == FlitPool::kNil)
                     continue;
-                if (outputs_[vc.out_port].credits <= 0) {
+                auto &out = outputs_[vc.out_port];
+                if (out.credits <= 0) {
                     instr_.credit_stalls.inc();
                     continue;
                 }
-                auto &reqs = requests_[vc.out_port];
-                if (reqs.empty())
+                // Ports nominate in ascending order, so the first
+                // request at or after rr_input wins: a later request
+                // replaces only a winner below the cursor.
+                if (out.requests++ == 0)
                     touched_outputs_.push_back(vc.out_port);
-                reqs.push_back({static_cast<std::int32_t>(port), vc_id});
+                if (out.requests == 1 ||
+                    (out.sa_port < out.rr_input && port >= out.rr_input)) {
+                    out.sa_port = port;
+                    out.sa_vc = vc_id;
+                }
                 in.rr = slot + 1 == n ? 0 : slot + 1;
                 break;
             }
@@ -303,29 +333,19 @@ Router::arbitrateOutputs(Cycle now)
 {
     for (std::int16_t out_port : touched_outputs_) {
         auto &out = outputs_[out_port];
-        auto &reqs = requests_[out_port];
 
-        // Output side of SA: round-robin over requesting inputs.
-        int winner = 0;
-        int best_rank = cfg_.ports;
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-            int rank = reqs[i].in_port - out.rr_input;
-            if (rank < 0)
-                rank += cfg_.ports;
-            if (rank < best_rank) {
-                best_rank = rank;
-                winner = static_cast<int>(i);
-            }
-        }
-        if (reqs.size() > 1)
-            instr_.sa_conflicts.inc(reqs.size() - 1);
-        const Request req = reqs[winner];
-        reqs.clear();
-        out.rr_input =
-            req.in_port + 1 == cfg_.ports ? 0 : req.in_port + 1;
+        // Output side of SA: the round-robin winner was settled at
+        // nomination time.
+        if (out.requests > 1)
+            instr_.sa_conflicts.inc(
+                static_cast<std::uint64_t>(out.requests - 1));
+        out.requests = 0;
+        const int in_port = out.sa_port;
+        const std::int16_t in_vc = out.sa_vc;
+        out.rr_input = in_port + 1 == cfg_.ports ? 0 : in_port + 1;
 
-        auto &in = inputs_[req.in_port];
-        auto &vc = in.vcs[req.in_vc];
+        auto &in = inputs_[in_port];
+        auto &vc = in.vcs[in_vc];
         const FlitPool::Index head = vc.q_head;
         Flit flit = pool_->at(head);
         vc.q_head = pool_->next(head);
@@ -347,15 +367,16 @@ Router::arbitrateOutputs(Cycle now)
             in.occupied.pop_back();
             vc.occ_pos = -1;
             if (in.occupied.empty())
-                busy_mask_[static_cast<std::size_t>(req.in_port) >> 6] &=
-                    ~(std::uint64_t{1} << (req.in_port & 63));
+                busy_mask_[static_cast<std::size_t>(in_port) >> 6] &=
+                    ~(std::uint64_t{1} << (in_port & 63));
         }
 
         flit.vc = vc.out_vc;
         ++flit.hops;
 
         if (flit.tail) {
-            out.vc_owner[vc.out_vc] = -1;
+            freeVcs(out_port)[vc.out_vc >> 6] |= std::uint64_t{1}
+                                                 << (vc.out_vc & 63);
             vc.state = VcState::Idle;
             --in.active_vcs;
             vc.out_port = -1;
@@ -363,7 +384,7 @@ Router::arbitrateOutputs(Cycle now)
             // The next packet is already queued behind this tail: the
             // VC stays occupied and needs the RC/VA machines again.
             if (vc.q_head != FlitPool::kNil)
-                in.pending.push_back(req.in_vc);
+                in.pending.push_back(in_vc);
         }
 
         instr_.flits_routed.inc();

@@ -8,7 +8,7 @@
  * ports hold a shared flit buffer divided into per-VC queues
  * (the paper's "shared buffer policy for all the input ports");
  * credit-based flow control tracks the downstream shared pool as an
- * aggregate credit count plus per-output-VC ownership.
+ * aggregate credit count plus a free-VC bitmask per output.
  *
  * Timing: a head flit that arrives in cycle t completes RC in
  * t + rc_delay, may win VA and SA in that same cycle, and spends
@@ -31,6 +31,14 @@
  * >= 1 cycle, so nothing a router does in cycle t is visible to any
  * other router until t+1 and the active-set step order cannot affect
  * simulation results.
+ *
+ * Allocation state grows with traffic, not with ports x ports. VA
+ * claims the first set bit at or after the output's round-robin
+ * cursor in a free-VC bitmask, so a head facing a fully owned output
+ * costs one test. SA needs no request lists: an input nominates at
+ * most one VC per cycle and inputs nominate in ascending port order,
+ * so each output keeps only its request count and the best
+ * nomination so far in round-robin order from its cursor.
  */
 
 #ifndef WSS_SIM_ROUTER_HPP
@@ -335,6 +343,8 @@ class Router
     };
     static_assert(sizeof(InputVc) == 32);
 
+    /// Input side: a VC queue per virtual channel plus the lists that
+    /// keep RC/VA and SA nomination proportional to occupied VCs.
     struct InputPort
     {
         ChannelPair *channel = nullptr;
@@ -359,20 +369,22 @@ class Router
         int rr = 0; // SA round-robin cursor into occupied
     };
 
+    /// Output side: downstream credits, the VA and SA round-robin
+    /// cursors, and this cycle's SA requests. Which output VCs are
+    /// free lives in the router's free_vcs_ bitmask.
     struct OutputPort
     {
         ChannelPair *channel = nullptr;
-        /// Owning input VC (encoded port * vcs + vc) per output VC.
-        std::vector<std::int32_t> vc_owner;
         int credits = 0;
         int rr_vc = 0;    // VA round-robin over output VCs
         int rr_input = 0; // SA round-robin over requesting inputs
-    };
-
-    struct Request
-    {
-        std::int32_t in_port;
-        std::int16_t in_vc;
+        /// SA requests this cycle (0 = the port is not in
+        /// touched_outputs_), and the winner so far: the requesting
+        /// input first at or after rr_input in cyclic order, and the
+        /// VC it nominated.
+        int requests = 0;
+        int sa_port = 0;
+        std::int16_t sa_vc = 0;
     };
 
     void ingest(Cycle now);
@@ -395,6 +407,14 @@ class Router
     /// Pick the output port for a routed head flit.
     std::int16_t route(std::int32_t dst_terminal,
                        std::int32_t dst_router);
+
+    /// Free-VC bitmask of output port @p port (vc_words_ words).
+    std::uint64_t *
+    freeVcs(int port)
+    {
+        return free_vcs_.data() +
+               static_cast<std::size_t>(port) * vc_words_;
+    }
 
     int id_;
     RouterConfig cfg_;
@@ -435,12 +455,22 @@ class Router
     std::vector<std::int16_t> route_ports_;
     std::vector<std::int16_t> terminal_port_of_;
 
-    /// Per-output request lists, rebuilt each cycle.
-    std::vector<std::vector<Request>> requests_;
+    /// Bit v of output p's words is set while output VC v is free
+    /// (unowned); bits at or past cfg_.vcs stay clear.
+    std::vector<std::uint64_t> free_vcs_;
+    std::size_t vc_words_ = 1;
+    /// Outputs with SA requests this cycle, in first-request order.
     std::vector<std::int16_t> touched_outputs_;
 
     std::int64_t buffered_ = 0;
 };
+
+/**
+ * First free VC at or after @p from (< @p vcs) in cyclic order over
+ * a free-VC bitmask of ceil(vcs / 64) words whose bits at or past
+ * @p vcs are clear; -1 when none is free. The router's VA search.
+ */
+int findFreeVc(const std::uint64_t *mask, int vcs, int from);
 
 /// Push a flit into a channel and schedule its consumer's wake (a
 /// router input port, or a terminal's ejection-pending bit) for the

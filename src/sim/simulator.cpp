@@ -17,7 +17,14 @@ Simulator::Simulator(Network &network, Workload &workload,
         fatal("Simulator: bad phase configuration");
     if (cfg.observe_sample_every < 0)
         fatal("Simulator: observe_sample_every must be >= 0");
+    // Room for eight 4-flit packets per source before a ring first
+    // grows: below saturation a backlog that deep is rare enough that
+    // the cycle loop stops allocating once warmed up, even across the
+    // hundreds of sources of a radix-256 fabric (where rings starting
+    // at 8 slots kept reaching new high-water marks mid-run).
     source_.resize(network.terminalCount());
+    for (auto &queue : source_)
+        queue.reserve(32);
     inject_mask_.assign(
         (static_cast<std::size_t>(network.terminalCount()) + 63) / 64,
         0);

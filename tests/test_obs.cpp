@@ -607,16 +607,32 @@ TEST(TraceEvent, CampaignsSharingASinkNameEachTrackOnce)
 
     const Json root = parseTrace(sink);
     std::map<std::int64_t, int> names_per_tid;
-    for (const Json &e : root.find("traceEvents")->array)
-        if (e.find("ph")->string == "M" &&
-            e.find("name")->string == "thread_name")
-            ++names_per_tid[static_cast<std::int64_t>(
-                e.find("tid")->number)];
-    // Workers 0-2 and the caller (tid 3); the serial run's "caller"
-    // on tid 0 keeps the first label.
+    std::int64_t caller_tid = -1;
+    std::vector<std::int64_t> span_tids;
+    for (const Json &e : root.find("traceEvents")->array) {
+        const auto tid = static_cast<std::int64_t>(e.find("tid")->number);
+        if (e.find("ph")->string == "X")
+            span_tids.push_back(tid);
+        if (e.find("ph")->string != "M" ||
+            e.find("name")->string != "thread_name")
+            continue;
+        ++names_per_tid[tid];
+        if (e.find("args")->find("name")->string == "caller")
+            caller_tid = tid;
+    }
+    // The caller and workers 0-2, each named once.
     ASSERT_EQ(names_per_tid.size(), 4u);
     for (const auto &[tid, count] : names_per_tid)
         EXPECT_EQ(count, 1) << "tid " << tid;
+    // Spans are written in start order, so the serial run's cells are
+    // the last ones; all of them ran on the caller's track.
+    const exec::SweepJob job = tinySweepJob();
+    const std::size_t cells =
+        job.rates.size() * static_cast<std::size_t>(job.repetitions);
+    ASSERT_EQ(span_tids.size(), 3 * cells);
+    ASSERT_GE(caller_tid, 0);
+    for (std::size_t i = 2 * cells; i < span_tids.size(); ++i)
+        EXPECT_EQ(span_tids[i], caller_tid) << "serial span " << i;
 }
 
 TEST(TraceEvent, FaultScheduleEmitsInstantEvents)

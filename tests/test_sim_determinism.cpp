@@ -9,7 +9,9 @@
  * throughput statistics — must match golden values recorded from the
  * pre-optimization simulator, bit for bit, across the full matrix of
  * {uniform, transpose, tornado} x {mesh, clos} x {adaptive on/off}
- * x {low load, high load}, with observability off AND on.
+ * x {low load, high load}, with observability off AND on. Paper-scale
+ * rows (radix-256 routers with 16 VCs, and 80 VCs per port) add the
+ * per-router allocation counters to the contract.
  *
  * A second invariant rides along: once the fabric reaches steady
  * state, the cycle loop performs no heap allocation at all (every
@@ -28,11 +30,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "power/ssc.hpp"
 #include "sim/simulator.hpp"
 #include "topology/clos.hpp"
 #include "topology/mesh.hpp"
+#include "util/rng.hpp"
 
 // --- Global allocation counter -------------------------------------
 //
@@ -245,16 +250,84 @@ constexpr GoldenRow kGolden[] = {
      8431, 8431, true, 2128, 20296, 20296},
 };
 
+/// Per-router instrument values of one run with observability on.
+struct RouterCounters
+{
+    std::uint64_t vc_alloc_failures;
+    std::uint64_t sa_conflicts;
+    std::uint64_t credit_stalls;
+    std::uint64_t flits_routed;
+};
+
+/// A golden row at the scale the paper simulates, plus every router's
+/// allocation counters (observability on).
+struct ScaleRow
+{
+    GoldenRow result;
+    std::vector<RouterCounters> routers;
+};
+
+/**
+ * Rows past the radix-8 matrix, recorded before the switch- and
+ * VC-allocation rewrite:
+ *  - "th5clos": the 256-port folded Clos of TH-5 chiplets (radix-256
+ *    routers, 16 VCs, the `wss` CLI's fabric timings), 4-flit
+ *    packets, at low load and saturated, oblivious and adaptive;
+ *  - "clos-vc80": the matrix's radix-8 Clos with 80 VCs per port and
+ *    a 64-flit buffer, so output-VC state spans two 64-bit words.
+ */
+const ScaleRow kScaleGolden[] = {
+    {{"uniform", "th5clos", false, 0x1.999999999999ap-4,
+      0x1.54d3038f5f79ap+5, 0x1.d8p+5,
+      0x1.3ba2ca9967e43p+5, 0x1.fd2b0b53d2b01p+0,
+      0x1.92fdf3b645a1dp-4,
+      6328, 6328, true, 1354, 33080, 33080},
+     {{0, 2168, 0, 24624},
+      {0, 1999, 0, 24748},
+      {0, 819, 0, 16292}}},
+    {{"uniform", "th5clos", false, 0x1.ccccccccccccdp-1,
+      0x1.50073fc736ae8p+8, 0x1.3f8p+9,
+      0x1.16ba30328a363p+7, 0x1.003683d0b9b0cp+1,
+      0x1.598p-1,
+      57704, 57704, true, 1949, 299500, 299500},
+     {{68923, 121462, 543, 224152},
+      {67912, 122789, 561, 225540},
+      {0, 35834, 0, 150192}}},
+    {{"uniform", "th5clos", true, 0x1.999999999999ap-4,
+      0x1.54193e7673dccp+5, 0x1.d8p+5,
+      0x1.3ae905807c479p+5, 0x1.fd2b0b53d2afdp+0,
+      0x1.92f9db22d0e56p-4,
+      6328, 6328, true, 1354, 33080, 33080},
+     {{0, 1926, 0, 24624},
+      {0, 1856, 0, 24748},
+      {0, 310, 0, 16292}}},
+    {{"uniform", "th5clos", true, 0x1.ccccccccccccdp-1,
+      0x1.4a60c358569dbp+8, 0x1.388p+9,
+      0x1.13175f02bb9d3p+7, 0x1.003683d0b9b14p+1,
+      0x1.5b0083126e979p-1,
+      57704, 57704, true, 1951, 299500, 299500},
+     {{58173, 122986, 774, 224152},
+      {59032, 122784, 807, 225540},
+      {0, 32111, 0, 150192}}},
+    {{"uniform", "clos-vc80", false, 0x1.6666666666666p-1,
+      0x1.f84b2d11b2fe9p+5, 0x1.72p+7,
+      0x1.e61ae222e96fcp+5, 0x1.4e08e148ecf69p+1,
+      0x1.615810624dd2fp-1,
+      8418, 8418, true, 1909, 20172, 20172},
+     {{0, 4231, 0, 9220},
+      {0, 3865, 0, 8712},
+      {0, 4366, 0, 9296},
+      {0, 4264, 0, 9150},
+      {0, 3099, 0, 8020},
+      {0, 3300, 0, 8186}}},
+};
+
 /// Rebuild the exact fabric + workload a golden row was recorded
 /// with and run it.
 SimResult
 runGoldenConfig(const GoldenRow &row, bool observe)
 {
-    topology::LogicalTopology topo =
-        row.topo[0] == 'm'
-            ? topology::buildMesh(2, 2, power::scaledSsc(8, 200.0))
-            : topology::buildFoldedClos(
-                  {16, power::scaledSsc(8, 200.0), 1});
+    const std::string topo_name = row.topo;
     NetworkSpec spec;
     spec.vcs = 4;
     spec.buffer_per_port = 8;
@@ -264,13 +337,35 @@ runGoldenConfig(const GoldenRow &row, bool observe)
     spec.terminal_link_latency = 3;
     spec.internal_link_latency = 2;
     spec.adaptive_routing = row.adaptive;
+    int terminals = 16;
+    int packet_flits = 2;
+    topology::LogicalTopology topo =
+        topo_name == "mesh"
+            ? topology::buildMesh(2, 2, power::scaledSsc(8, 200.0))
+            : topology::buildFoldedClos(
+                  {16, power::scaledSsc(8, 200.0), 1});
+    if (topo_name == "th5clos") {
+        terminals = 256;
+        packet_flits = 4;
+        topo = topology::buildFoldedClos({256, power::tomahawk5(1), 1});
+        spec.vcs = 16;
+        spec.buffer_per_port = 64;
+        spec.rc_delay_ingress = 2;
+        spec.rc_delay_transit = 2;
+        spec.pipeline_delay = 9;
+        spec.terminal_link_latency = 8;
+        spec.internal_link_latency = 1;
+    } else if (topo_name == "clos-vc80") {
+        spec.vcs = 80;
+        spec.buffer_per_port = 64;
+    }
 
     Network net(topo, spec, 7);
-    SyntheticWorkload workload(makeTraffic(row.pattern, 16), row.load,
-                               2);
+    SyntheticWorkload workload(makeTraffic(row.pattern, terminals),
+                               row.load, packet_flits);
     SimConfig cfg;
     cfg.warmup = 300;
-    cfg.measure = 1500;
+    cfg.measure = terminals > 16 ? 1000 : 1500;
     cfg.drain_limit = 10000;
     cfg.seed = 42;
     cfg.observe = observe;
@@ -317,25 +412,84 @@ TEST(SimDeterminism, ObservabilityNeverPerturbsResults)
     }
 }
 
-TEST(SimDeterminismZeroAllocation, SteadyStateCycleLoopIsAllocFree)
+TEST(SimDeterminism, MatchesPaperScaleGoldens)
 {
-    // A stable low-load run: by mid-measurement every pool, ring,
-    // wheel and scratch vector has hit its high-water mark, so the
-    // cycle loop must run entirely allocation-free from there to the
-    // end of the measurement window.
-    topology::LogicalTopology topo =
-        topology::buildMesh(2, 2, power::scaledSsc(8, 200.0));
-    NetworkSpec spec;
-    spec.vcs = 4;
-    spec.buffer_per_port = 8;
-    spec.rc_delay_ingress = 2;
-    spec.rc_delay_transit = 1;
-    spec.pipeline_delay = 2;
-    spec.terminal_link_latency = 3;
-    spec.internal_link_latency = 2;
+    for (const ScaleRow &row : kScaleGolden)
+        expectMatchesGolden(runGoldenConfig(row.result, false),
+                            row.result);
+}
 
+TEST(SimDeterminism, PaperScaleRouterCountersMatchGoldens)
+{
+    // Observability on: the results again, and every router's
+    // allocation counters, whose counting the allocators own.
+    for (const ScaleRow &row : kScaleGolden) {
+        const SimResult r = runGoldenConfig(row.result, true);
+        expectMatchesGolden(r, row.result);
+        ASSERT_NE(r.observation, nullptr);
+        const obs::MetricsRegistry &reg = r.observation->registry;
+        ASSERT_EQ(r.observation->routers, row.routers.size());
+        for (std::size_t i = 0; i < row.routers.size(); ++i) {
+            SCOPED_TRACE(std::string(row.result.topo) + " router " +
+                         std::to_string(i));
+            const std::string p = "r" + std::to_string(i) + ".";
+            const RouterCounters &want = row.routers[i];
+            EXPECT_EQ(reg.counterValue(p + "vc_alloc_failures"),
+                      want.vc_alloc_failures);
+            EXPECT_EQ(reg.counterValue(p + "sa_conflicts"),
+                      want.sa_conflicts);
+            EXPECT_EQ(reg.counterValue(p + "credit_stalls"),
+                      want.credit_stalls);
+            EXPECT_EQ(reg.counterValue(p + "flits_routed"),
+                      want.flits_routed);
+        }
+    }
+}
+
+TEST(SimDeterminism, FreeVcSearchMatchesALinearScan)
+{
+    // VA's bitmask search against the scan it replaced, on random
+    // masks at VC counts below, at and across 64-bit word boundaries
+    // (in this suite so the sanitizer build checks its bit indexing).
+    Rng rng(11);
+    for (const int vcs : {1, 5, 16, 63, 64, 65, 80, 128, 200}) {
+        const std::size_t words = (static_cast<std::size_t>(vcs) + 63) / 64;
+        for (int trial = 0; trial < 200; ++trial) {
+            // Sparse, dense, empty and full masks.
+            const int density = trial % 5;
+            std::vector<std::uint64_t> mask(words, 0);
+            for (int v = 0; v < vcs; ++v)
+                if (density == 4 ||
+                    (density > 0 &&
+                     static_cast<int>(rng.nextBelow(4)) < density))
+                    mask[static_cast<std::size_t>(v) >> 6] |=
+                        std::uint64_t{1} << (v & 63);
+            for (int from = 0; from < vcs; ++from) {
+                int want = -1;
+                for (int i = 0; i < vcs && want < 0; ++i) {
+                    const int v = (from + i) % vcs;
+                    if (mask[static_cast<std::size_t>(v) >> 6] >>
+                            (v & 63) &
+                        1)
+                        want = v;
+                }
+                ASSERT_EQ(findFreeVc(mask.data(), vcs, from), want)
+                    << "vcs " << vcs << " from " << from;
+            }
+        }
+    }
+}
+
+/// Count heap allocations between cycles 800 and 1800 of a stable
+/// low-load run on @p topo and expect none.
+void
+expectSteadyStateAllocFree(const topology::LogicalTopology &topo,
+                           const NetworkSpec &spec, int terminals,
+                           int packet_flits)
+{
     Network net(topo, spec, 7);
-    SyntheticWorkload workload(makeTraffic("uniform", 16), 0.1, 2);
+    SyntheticWorkload workload(makeTraffic("uniform", terminals), 0.1,
+                               packet_flits);
     SimConfig cfg;
     cfg.warmup = 300;
     cfg.measure = 1500;
@@ -359,6 +513,43 @@ TEST(SimDeterminismZeroAllocation, SteadyStateCycleLoopIsAllocFree)
         << "the cycle loop heap-allocated "
         << (at_window_end - at_steady)
         << " times between cycles 800 and 1800";
+}
+
+TEST(SimDeterminismZeroAllocation, SteadyStateCycleLoopIsAllocFree)
+{
+    // A stable low-load run: by mid-measurement every pool, ring,
+    // wheel and scratch vector has hit its high-water mark, so the
+    // cycle loop must run entirely allocation-free from there to the
+    // end of the measurement window. Once on the radix-8 mesh, once
+    // on the 256-port Clos of radix-256, 16-VC routers, where the
+    // switch- and VC-allocation state is sized by ports and VCs.
+    NetworkSpec spec;
+    spec.vcs = 4;
+    spec.buffer_per_port = 8;
+    spec.rc_delay_ingress = 2;
+    spec.rc_delay_transit = 1;
+    spec.pipeline_delay = 2;
+    spec.terminal_link_latency = 3;
+    spec.internal_link_latency = 2;
+    {
+        SCOPED_TRACE("mesh 2x2, radix 8, 4 VCs");
+        expectSteadyStateAllocFree(
+            topology::buildMesh(2, 2, power::scaledSsc(8, 200.0)), spec,
+            16, 2);
+    }
+
+    spec.vcs = 16;
+    spec.buffer_per_port = 64;
+    spec.rc_delay_transit = 2;
+    spec.pipeline_delay = 9;
+    spec.terminal_link_latency = 8;
+    spec.internal_link_latency = 1;
+    {
+        SCOPED_TRACE("folded Clos, 256 ports, radix 256, 16 VCs");
+        expectSteadyStateAllocFree(
+            topology::buildFoldedClos({256, power::tomahawk5(1), 1}),
+            spec, 256, 4);
+    }
 }
 
 } // namespace
